@@ -20,18 +20,16 @@ from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .audit import flip_test
 from .data import Dataset, load_csv, parse_schema, save_csv, split, validate
 from .errors import DataError
 from .explain import local_surrogate, permutation_importance
-from .inference import di_ci_delta, eo_ci_delta
+from .inference import di_ci_delta, disparate_impact_statistic, eo_ci_delta
 from .metrics import (
+    base_rates,
     confusion_gaps,
     contingency,
-    base_rates,
     disparity_metrics,
     eighty_percent_verdict,
     group_confusion,
@@ -47,7 +45,7 @@ from .model import (
     train_logistic,
 )
 from .repair import apply_repair, fit_repair, repair_distortion, save_plan
-from .synth import generate, solve_group_bias, spec_from_dict
+from .synth import SCHEMA, generate, solve_group_bias, spec_from_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,12 +54,28 @@ EXIT_UNFAIR = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: "synth --schema x" must not overwrite x as --schema-out
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on usage errors; the exit-code contract
-    # reserves 2 for data errors, so remap.
+    # reserves 2 for data errors, so remap. The error line comes first so that
+    # stderr always starts with the program name.
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
+        self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _fraction(text: str, one_allowed: bool = False) -> float:
+    """argparse type: a float in (0, 1), or in (0, 1] if ``one_allowed``."""
+    try:
+        value = float(text)
+        if 0.0 < value < 1.0 or (one_allowed and value == 1.0):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be in (0, 1{']' if one_allowed else ')'}, got {text!r}")
 
 
 def _fmt(v) -> str:
@@ -123,13 +137,13 @@ def _emit(report: dict, args) -> None:
 
 
 def _seed(args) -> int:
-    return 0 if getattr(args, "seed", None) is None else args.seed
+    return 0 if args.seed is None else args.seed
 
 
 def _meta(args, subcommand: str, d: Dataset | None = None, seed: int | None = None) -> dict:
     meta = {"tool": "fairaudit", "version": __version__, "subcommand": subcommand}
     if seed is None:
-        seed = getattr(args, "seed", None)
+        seed = args.seed
     if seed is not None:
         meta["seed"] = seed
     if d is not None:
@@ -147,14 +161,26 @@ def _meta(args, subcommand: str, d: Dataset | None = None, seed: int | None = No
     return meta
 
 
+def _read_json(path: str, what: str):
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"no such {what} file: {path}")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def _load(args) -> Dataset:
-    if args.schema is None:
-        raise DataError("--schema is required for this subcommand")
-    schema_path = Path(args.schema)
-    if not schema_path.exists():
-        raise DataError(f"no such schema file: {schema_path}")
-    schema = parse_schema(json.loads(schema_path.read_text(encoding="utf-8")))
-    return load_csv(args.data, schema)
+    return load_csv(args.data, parse_schema(_read_json(args.schema, "schema")))
+
+
+def _fields(obj, *drop: str) -> dict:
+    """A result dataclass as a report section: its fields in declaration order,
+    less the ``drop`` names and less the fields that are None."""
+    return {k: v for k, v in asdict(obj).items() if k not in drop and v is not None}
+
+
+def _with_properties(obj, *names: str) -> dict:
+    """A result dataclass's fields followed by the named derived properties."""
+    return {**asdict(obj), **{name: getattr(obj, name) for name in names}}
 
 
 def _estimate_dict(est) -> dict:
@@ -164,20 +190,16 @@ def _estimate_dict(est) -> dict:
     return out
 
 
-def _interval_dict(iv) -> dict:
-    out = {"method": iv.method, "level": iv.level, "lo": iv.lo, "hi": iv.hi}
-    if iv.replicates is not None:
-        out["replicates"] = iv.replicates
-    if iv.seed is not None:
-        out["seed"] = iv.seed
-    return out
-
-
-def _confusion_dict(g) -> dict:
+def _fliptest_section(ft, **extra) -> dict:
     return {
-        "tp": g.tp, "fp": g.fp, "tn": g.tn, "fn": g.fn,
-        "tpr": g.tpr, "fpr": g.fpr, "fnr": g.fnr,
-        "ppv": g.ppv, "accuracy": g.accuracy, "base_rate": g.base_rate,
+        "n": ft.n,
+        **extra,
+        "flips_to_positive": len(ft.to_positive),
+        "flips_to_negative": len(ft.to_negative),
+        "flip_rate": ft.flip_rate,
+        "vacuous": ft.vacuous,
+        "to_positive": ft.to_positive,
+        "to_negative": ft.to_negative,
     }
 
 
@@ -197,18 +219,15 @@ def _cmd_audit(args) -> int:
 
     table = contingency(d)
     rates = base_rates(table)
-    report["contingency"] = {
-        "a": table.a, "b": table.b, "c": table.c, "d": table.d,
-        "n1": table.n1, "n2": table.n2, "m1": table.m1, "m2": table.m2, "n": table.n,
-        "p1": rates.p1, "p2": rates.p2, "p": rates.p, "corrected": rates.corrected,
-    }
+    report["contingency"] = {**_with_properties(table, "n1", "n2", "m1", "m2", "n"),
+                             **asdict(rates)}
     estimates = disparity_metrics(rates)
     report["metrics"] = {name: _estimate_dict(e) for name, e in estimates.items()}
 
     intervals: dict = {}
     try:
         di_iv = di_ci_delta(table, args.level)
-        intervals["disparate_impact"] = _interval_dict(di_iv)
+        intervals["disparate_impact"] = _fields(di_iv, "statistic")
     except DataError:
         di_iv = None
 
@@ -216,7 +235,7 @@ def _cmd_audit(args) -> int:
     if d.outcome_column is not None:
         pair = group_confusion(d)
         try:
-            intervals["equal_opportunity_ratio"] = _interval_dict(eo_ci_delta(pair, args.level))
+            intervals["equal_opportunity_ratio"] = _fields(eo_ci_delta(pair, args.level), "statistic")
         except DataError:
             pass
     if intervals:
@@ -233,25 +252,16 @@ def _cmd_audit(args) -> int:
     report["verdict"] = verdict
 
     if pair is not None:
-        protected_g, other_g = pair
+        derived = ("tpr", "fpr", "fnr", "ppv", "accuracy", "base_rate")
         report["confusion"] = {
-            "protected": _confusion_dict(protected_g),
-            "non_protected": _confusion_dict(other_g),
+            "protected": _with_properties(pair[0], *derived),
+            "non_protected": _with_properties(pair[1], *derived),
             "gaps": {name: _estimate_dict(e) for name, e in confusion_gaps(pair).items()},
         }
 
     if args.model is not None:
-        m = load_model(args.model)
-        ft = flip_test(m, d, args.decision_threshold)
-        report["fliptest"] = {
-            "n": ft.n,
-            "flips_to_positive": len(ft.to_positive),
-            "flips_to_negative": len(ft.to_negative),
-            "flip_rate": ft.flip_rate,
-            "vacuous": ft.vacuous,
-            "to_positive": ft.to_positive,
-            "to_negative": ft.to_negative,
-        }
+        ft = flip_test(load_model(args.model), d, args.decision_threshold)
+        report["fliptest"] = _fliptest_section(ft)
 
     _emit(report, args)
     return EXIT_UNFAIR if verdict["point"] == "fail" else EXIT_OK
@@ -259,8 +269,6 @@ def _cmd_audit(args) -> int:
 
 def _cmd_train(args) -> int:
     d = _load(args)
-    if args.model is None:
-        raise DataError("--model is required: path to write the trained model")
     seed = _seed(args)
     config = TrainConfig(seed=seed, target=args.target)
     train_d, holdout_d = split(d, args.test_fraction, seed)
@@ -284,31 +292,17 @@ def _cmd_train(args) -> int:
         cv = cross_validate(d, args.replicates, args.test_fraction, seed,
                             config=config, include_sensitive=args.include_sensitive,
                             threshold=args.decision_threshold)
-        report["cv_error"] = {
-            "rate": cv.rate, "sd": cv.sd, "replicates": cv.replicates, "seed": cv.seed,
-        }
+        report["cv_error"] = _fields(cv, "scheme")
     _emit(report, args)
     return EXIT_OK
 
 
 def _cmd_fliptest(args) -> int:
     d = _load(args)
-    if args.model is None:
-        raise DataError("--model is required: path of the model to probe")
-    m = load_model(args.model)
-    ft = flip_test(m, d, args.decision_threshold)
+    ft = flip_test(load_model(args.model), d, args.decision_threshold)
     report = {
         "meta": _meta(args, "fliptest", d),
-        "fliptest": {
-            "n": ft.n,
-            "threshold": args.decision_threshold,
-            "flips_to_positive": len(ft.to_positive),
-            "flips_to_negative": len(ft.to_negative),
-            "flip_rate": ft.flip_rate,
-            "vacuous": ft.vacuous,
-            "to_positive": ft.to_positive,
-            "to_negative": ft.to_negative,
-        },
+        "fliptest": _fliptest_section(ft, threshold=args.decision_threshold),
     }
     _emit(report, args)
     return EXIT_OK
@@ -319,24 +313,18 @@ def _model_decision_di(d: Dataset, seed: int, threshold: float) -> tuple[float, 
     train_d, holdout_d = split(d, 0.3, seed)
     m = train_logistic(train_d, include_sensitive=False, config=TrainConfig(seed=seed))
     decisions = decide(predict_scores(m, holdout_d), threshold)
-    # relabel through the declared positive modality so orientation is kept
-    role = holdout_d.schema[holdout_d.decision_column]
-    labels = np.where(decisions, role.positive, f"not-{role.positive}")
-    audited = holdout_d.with_values(holdout_d.decision_column, labels)
-    rates = base_rates(contingency(audited))
+    rates = base_rates(contingency(holdout_d, decisions))
     return rates.p1 / rates.p2, test_error(m, holdout_d, threshold).rate
 
 
 def _cmd_repair(args) -> int:
     d = _load(args)
-    if not args.features:
-        raise DataError("--features is required: comma-separated numeric feature names")
     features = [f.strip() for f in args.features.split(",") if f.strip()]
     plan = fit_repair(d, features)
     repaired = apply_repair(plan, d, args.lam)
     distortion = repair_distortion(d, repaired, features)
 
-    repaired_out = Path(args.repaired_out) if args.repaired_out else Path("repaired.csv")
+    repaired_out = Path(args.repaired_out or "repaired.csv")
     save_csv(repaired, repaired_out)
     if args.plan_out:
         save_plan(plan, args.plan_out)
@@ -352,93 +340,58 @@ def _cmd_repair(args) -> int:
         },
     }
     if d.decision_column is not None:
-        rates = base_rates(contingency(d))
-        section = {"dataset_decision_di": rates.p1 / rates.p2}
         di_before, err_before = _model_decision_di(d, seed, args.decision_threshold)
         di_after, err_after = _model_decision_di(repaired, seed, args.decision_threshold)
-        section["model_di_before"] = di_before
-        section["model_di_after"] = di_after
-        section["model_error_before"] = err_before
-        section["model_error_after"] = err_after
-        report["repair"]["effect"] = section
+        report["repair"]["effect"] = {
+            "dataset_decision_di": disparate_impact_statistic(d),
+            "model_di_before": di_before,
+            "model_di_after": di_after,
+            "model_error_before": err_before,
+            "model_error_after": err_after,
+        }
     _emit(report, args)
     return EXIT_OK
 
 
 def _cmd_explain(args) -> int:
     d = _load(args)
-    if args.model is None:
-        raise DataError("--model is required: path of the model to explain")
     m = load_model(args.model)
     seed = _seed(args)
     pi = permutation_importance(m, d, threshold=args.decision_threshold,
                                 repeats=args.replicates, seed=seed)
     report: dict = {
         "meta": _meta(args, "explain", d, seed=seed),
-        "explain": {
-            "permutation_importance": {
-                "baseline_accuracy": pi.baseline_accuracy,
-                "repeats": pi.repeats,
-                "seed": pi.seed,
-                "importances": pi.importances,
-            }
-        },
+        "explain": {"permutation_importance": asdict(pi)},
     }
     if args.row is not None:
         ls = local_surrogate(m, args.row, d, n_samples=args.samples,
                              kernel_width=args.kernel_width, seed=seed)
-        report["explain"]["local_surrogate"] = {
-            "row": ls.row,
-            "intercept": ls.intercept,
-            "coefficients": ls.coefficients,
-            "kernel_width": ls.kernel_width,
-            "n_samples": ls.n_samples,
-            "seed": ls.seed,
-            "r_squared": ls.r_squared,
-        }
+        report["explain"]["local_surrogate"] = asdict(ls)
     _emit(report, args)
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
-    if args.data is None:
-        raise DataError("--data is required: path to write the generated CSV")
-    base: dict = {}
-    if args.spec:
-        spec_path = Path(args.spec)
-        if not spec_path.exists():
-            raise DataError(f"no such generator spec file: {spec_path}")
-        base = json.loads(spec_path.read_text(encoding="utf-8"))
-    for key, value in (("n", args.n), ("seed", args.seed),
-                       ("protected_fraction", args.protected_fraction),
-                       ("group_bias", args.group_bias)):
-        if value is not None:
-            base[key] = value
-    base.setdefault("n", 1000)
-    base.setdefault("seed", 0)
-    spec = spec_from_dict(base)
+    base = _read_json(args.spec, "generator spec") if args.spec else {}
+    if not isinstance(base, dict):
+        raise DataError("generator spec must be a JSON object")
+    flags = {"n": args.n, "seed": args.seed, "protected_fraction": args.protected_fraction,
+             "group_bias": args.group_bias}
+    spec = spec_from_dict({"n": 1000, "seed": 0, **base,
+                           **{k: v for k, v in flags.items() if v is not None}})
     if args.target_di is not None:
         spec = replace(spec, group_bias=solve_group_bias(spec, args.target_di))
     d, true_di = generate(spec)
     save_csv(d, args.data)
-
-    schema_obj = {
-        "x1": {"role": "numeric"},
-        "x2": {"role": "numeric"},
-        "s": {"role": "sensitive", "protected": "P"},
-        "y": {"role": "decision", "positive": "1"},
-        "t": {"role": "outcome", "positive": "1"},
-    }
     if args.schema_out:
-        Path(args.schema_out).write_text(json.dumps(schema_obj, indent=2) + "\n", encoding="utf-8")
+        Path(args.schema_out).write_text(json.dumps(SCHEMA, indent=2) + "\n", encoding="utf-8")
 
-    rates = base_rates(contingency(d))
     report = {
         "meta": _meta(args, "synth", seed=spec.seed),
         "synth": {
             "spec": asdict(spec),
             "true_di": true_di,
-            "empirical_di": rates.p1 / rates.p2,
+            "empirical_di": disparate_impact_statistic(d),
             "data_csv": str(args.data),
         },
     }
@@ -454,38 +407,40 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"fairaudit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser, model: bool = False,
+    def common(p: argparse.ArgumentParser, model: bool = False, schema: bool = True,
                decision_threshold: bool = True) -> None:
-        p.add_argument("--data", help="CSV file path")
-        p.add_argument("--schema", help="JSON role-declaration path")
+        p.add_argument("--data", required=True, help="CSV file path")
+        if schema:
+            p.add_argument("--schema", required=True, help="JSON role-declaration path")
         p.add_argument("--out", help="report path (JSON; Markdown derived)")
         p.add_argument("--format", choices=("json", "md", "both"), default="json")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-stable reports")
         if decision_threshold:
-            p.add_argument("--threshold", dest="decision_threshold", type=float, default=0.5,
+            p.add_argument("--threshold", dest="decision_threshold", type=_fraction, default=0.5,
                            help="decision threshold on model scores")
         if model:
-            p.add_argument("--model", help="model JSON path")
+            p.add_argument("--model", required=True, help="model JSON path")
 
     p = sub.add_parser("validate", help="data report: roles, missing cells, group sizes")
     common(p, decision_threshold=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("audit", help="disparity metrics, intervals, four-fifths verdict")
-    common(p, model=True, decision_threshold=False)
-    p.add_argument("--level", type=float, default=0.95, help="confidence level")
-    p.add_argument("--threshold", type=float, default=0.8,
-                   help="four-fifths rule threshold")
-    p.add_argument("--decision-threshold", dest="decision_threshold", type=float,
+    common(p, decision_threshold=False)
+    p.add_argument("--model", help="model JSON path for the flip-test section")
+    p.add_argument("--level", type=_fraction, default=0.95, help="confidence level")
+    p.add_argument("--threshold", type=lambda text: _fraction(text, one_allowed=True),
+                   default=0.8, help="four-fifths rule threshold")
+    p.add_argument("--decision-threshold", dest="decision_threshold", type=_fraction,
                    default=0.5, help="score threshold for the flip-test section")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("train", help="fit and serialize the baseline model")
     common(p, model=True)
     p.add_argument("--include-sensitive", action="store_true")
-    p.add_argument("--test-fraction", type=float, default=0.3)
+    p.add_argument("--test-fraction", type=_fraction, default=0.3)
     p.add_argument("--replicates", type=int, default=10, help="cross-validation replicates")
     p.add_argument("--target", choices=("auto", "decision", "outcome"), default="auto")
     p.set_defaults(func=_cmd_train)
@@ -496,7 +451,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("repair", help="fit/apply quantile repair, write repaired CSV")
     common(p)
-    p.add_argument("--features", help="comma-separated numeric features to repair")
+    p.add_argument("--features", required=True,
+                   help="comma-separated numeric features to repair")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--repaired-out", help="path for the repaired CSV (default repaired.csv)")
     p.add_argument("--plan-out", help="optional path to serialize the repair plan")
@@ -511,7 +467,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("synth", help="generate synthetic data with known disparity")
-    common(p, decision_threshold=False)
+    common(p, schema=False, decision_threshold=False)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--protected-fraction", type=float, default=None)
     p.add_argument("--group-bias", type=float, default=None)
@@ -532,10 +488,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except DataError as e:
-        print(f"fairaudit: data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as e:
+    except (DataError, ValueError, OSError) as e:
+        # OSError: an input that cannot be read or an output that cannot be written
         print(f"fairaudit: data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

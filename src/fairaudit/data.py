@@ -56,6 +56,8 @@ def parse_schema(spec: Mapping[str, object]) -> dict[str, ColumnRole]:
     A descriptor is either a bare role string (``"numeric"``) or an object
     such as ``{"role": "sensitive", "protected": "female"}``.
     """
+    if not isinstance(spec, Mapping):
+        raise SchemaError("schema must be a JSON object")
     schema: dict[str, ColumnRole] = {}
     for name, desc in spec.items():
         if isinstance(desc, str):
@@ -277,6 +279,9 @@ def load_csv(path: str | Path, schema: Mapping[str, object]) -> Dataset:
             raise DataError(f"{path}: file is empty, header row required") from None
         rows = list(reader)
 
+    duplicates = sorted({name for name in header if header.count(name) > 1})
+    if duplicates:
+        raise DataError(f"{path}: duplicate column names {duplicates} in header")
     unknown = [name for name in roles if name not in header]
     if unknown:
         raise SchemaError(f"{path}: schema names {unknown} not in header {header}")

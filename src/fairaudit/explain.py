@@ -16,16 +16,16 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .model import LogisticModel, decide, encode, predict_scores, score_matrix
+from .model import LogisticModel, decide, encode, predict_scores, score_matrix, target_mask
 from .rng import CounterRng, derive_seed
 
 
 @dataclass(frozen=True)
 class PermutationImportance:
-    importances: dict[str, float]  # baseline accuracy minus mean permuted accuracy
     baseline_accuracy: float
     repeats: int
     seed: int
+    importances: dict[str, float]  # baseline accuracy minus mean permuted accuracy
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,6 @@ class LocalSurrogate:
     r_squared: float  # weighted; 0 for zero-variance targets
 
 
-def _target_mask(m: LogisticModel, d: Dataset) -> np.ndarray:
-    role = d.schema.get(m.target_column)
-    if role is None or role.kind not in ("decision", "outcome"):
-        raise DataError(f"dataset lacks the model's target column {m.target_column!r}")
-    return d.values(m.target_column) == role.positive
-
-
 def permutation_importance(m: LogisticModel, d: Dataset, threshold: float = 0.5,
                            repeats: int = 10, seed: int = 0) -> PermutationImportance:
     """Mean decrease in accuracy over ``repeats`` random permutations per column.
@@ -55,7 +48,7 @@ def permutation_importance(m: LogisticModel, d: Dataset, threshold: float = 0.5,
     """
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
-    y = _target_mask(m, d)
+    y = target_mask(m, d)
     baseline = float(np.mean(decide(predict_scores(m, d), threshold) == y))
 
     columns = d.numeric_features + d.categorical_features + [d.sensitive_column]
@@ -69,10 +62,10 @@ def permutation_importance(m: LogisticModel, d: Dataset, threshold: float = 0.5,
             accs.append(float(np.mean(decide(predict_scores(m, permuted), threshold) == y)))
         importances[name] = baseline - float(np.mean(accs))
     return PermutationImportance(
-        importances=importances,
         baseline_accuracy=baseline,
         repeats=repeats,
         seed=seed,
+        importances=importances,
     )
 
 

@@ -98,10 +98,15 @@ class MetricEstimate:
         return MetricEstimate(self.name, self.value, lo, hi, level, self.corrected)
 
 
-def contingency(d: Dataset) -> ContingencyTable:
-    """Count decisions by group. Both groups must be nonempty."""
+def contingency(d: Dataset, positive: np.ndarray | None = None) -> ContingencyTable:
+    """Count decisions by group. Both groups must be nonempty.
+
+    ``positive`` is a boolean mask of positive decisions, such as a model's,
+    that stands in for the dataset's decision column.
+    """
     protected = d.protected_mask()
-    positive = d.positive_decision_mask()
+    if positive is None:
+        positive = d.positive_decision_mask()
     n1 = int(np.count_nonzero(protected))
     n2 = d.n - n1
     if n1 == 0 or n2 == 0:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DECISION, OUTCOME, Dataset, split
+from .data import CATEGORICAL, DECISION, NUMERIC, OUTCOME, SENSITIVE, ColumnRole, Dataset, split
 from .errors import DataError
 from .rng import CounterRng, derive_seed
 
@@ -139,26 +139,6 @@ def encode(enc: FeatureEncoding, d: Dataset) -> np.ndarray:
     if not cols:
         return np.zeros((d.n, 0))
     return np.column_stack(cols)
-
-
-def encode_row(enc: FeatureEncoding, row: dict) -> np.ndarray:
-    """Encode one raw row (mapping of column name to value)."""
-    out: list[float] = []
-    for name in enc.source_order:
-        v = row.get(name)
-        if name in enc.numeric:
-            spec = enc.numeric[name]
-            x = spec.mean if v is None or (isinstance(v, float) and math.isnan(v)) else float(v)
-            out.append((x - spec.mean) / spec.sd)
-        elif name in enc.categorical:
-            spec = enc.categorical[name]
-            label = "" if v is None else str(v)
-            if label and label not in spec.modalities:
-                warnings.warn(f"column {name!r}: unknown modality {label!r} encoded as all-zeros")
-            out.extend(1.0 if label == m else 0.0 for m in spec.modalities[1:])
-        elif enc.sensitive is not None and name == enc.sensitive.name:
-            out.append(1.0 if str(v) == enc.sensitive.protected else 0.0)
-    return np.asarray(out)
 
 
 # -- the model ---------------------------------------------------------------------
@@ -310,9 +290,27 @@ def predict_scores(m: LogisticModel, d: Dataset) -> np.ndarray:
 
 
 def predict_score(m: LogisticModel, row: dict) -> float:
-    """Probability score for one raw row; missing numerics impute to training means."""
-    x = encode_row(m.encoding, row)
-    return float(score_matrix(m, x[None, :])[0])
+    """Probability score for one raw row; missing numerics impute to training means.
+
+    Columns absent from ``row`` or given as None are missing cells.
+    """
+    enc = m.encoding
+    schema: dict[str, ColumnRole] = {}
+    columns: dict[str, np.ndarray] = {}
+    for name in enc.source_order:
+        value = row.get(name)
+        if name in enc.numeric:
+            schema[name] = ColumnRole(NUMERIC)
+            columns[name] = np.array([np.nan if value is None else float(value)])
+            continue
+        if name in enc.categorical:
+            schema[name] = ColumnRole(CATEGORICAL)
+        else:
+            schema[name] = ColumnRole(SENSITIVE, protected=enc.sensitive.protected)
+        columns[name] = np.array(["" if value is None else str(value)])
+    # a lone row need not carry both modalities, so skip the role checks
+    row_d = Dataset._unchecked(schema, columns, 1)
+    return float(predict_scores(m, row_d)[0])
 
 
 def decide(score, threshold: float = 0.5):
@@ -331,12 +329,17 @@ class ErrorEstimate:
     seed: int | None = None
 
 
-def test_error(m: LogisticModel, d: Dataset, threshold: float = 0.5) -> ErrorEstimate:
-    """Misclassification rate of thresholded scores against the model's target."""
+def target_mask(m: LogisticModel, d: Dataset) -> np.ndarray:
+    """Positive rows of the model's training target in a dataset."""
     role = d.schema.get(m.target_column)
     if role is None or role.kind not in (DECISION, OUTCOME):
         raise DataError(f"dataset lacks the model's target column {m.target_column!r}")
-    y = d.values(m.target_column) == role.positive
+    return d.values(m.target_column) == role.positive
+
+
+def test_error(m: LogisticModel, d: Dataset, threshold: float = 0.5) -> ErrorEstimate:
+    """Misclassification rate of thresholded scores against the model's target."""
+    y = target_mask(m, d)
     decisions = decide(predict_scores(m, d), threshold)
     rate = float(np.mean(decisions != y))
     return ErrorEstimate(rate=rate, sd=None, scheme="holdout", replicates=1)
@@ -376,16 +379,7 @@ def model_to_dict(m: LogisticModel) -> dict:
         "converged": m.converged,
         "target_column": m.target_column,
         "config": asdict(m.config),
-        "encoding": {
-            "source_order": list(m.encoding.source_order),
-            "numeric": {k: asdict(v) for k, v in m.encoding.numeric.items()},
-            "categorical": {
-                k: {"name": v.name, "modalities": list(v.modalities)}
-                for k, v in m.encoding.categorical.items()
-            },
-            "sensitive": asdict(m.encoding.sensitive) if m.encoding.sensitive else None,
-            "dropped": list(m.encoding.dropped),
-        },
+        "encoding": asdict(m.encoding),  # tuples serialize as JSON lists
     }
 
 
@@ -423,4 +417,8 @@ def load_model(path: str | Path) -> LogisticModel:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such model file: {path}")
-    return model_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return model_from_dict(obj)
+    except (AttributeError, KeyError, TypeError) as e:
+        raise DataError(f"malformed model file {path}: {type(e).__name__}: {e}") from None

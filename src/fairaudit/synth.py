@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import ColumnRole, Dataset
+from .data import Dataset, parse_schema
 from .errors import DataError
 from .model import sigmoid
 from .rng import CounterRng
@@ -26,6 +26,15 @@ from .rng import CounterRng
 PROTECTED_LABEL = "P"
 OTHER_LABEL = "N"
 _QUAD_NODES = 200
+
+# role declaration of every generated table, in JSON form (``synth --schema-out``)
+SCHEMA = {
+    "x1": {"role": "numeric"},
+    "x2": {"role": "numeric"},
+    "s": {"role": "sensitive", "protected": PROTECTED_LABEL},
+    "y": {"role": "decision", "positive": "1"},
+    "t": {"role": "outcome", "positive": "1"},
+}
 
 
 @dataclass(frozen=True)
@@ -147,13 +156,6 @@ def generate(spec: GeneratorSpec) -> tuple[Dataset, float]:
     z_out = x @ w_out + offset
     outcome = rng.uniforms(n) < sigmoid(z_out)
 
-    schema = {
-        "x1": ColumnRole("numeric"),
-        "x2": ColumnRole("numeric"),
-        "s": ColumnRole("sensitive", protected=PROTECTED_LABEL),
-        "y": ColumnRole("decision", positive="1"),
-        "t": ColumnRole("outcome", positive="1"),
-    }
     columns = {
         "x1": x[:, 0],
         "x2": x[:, 1],
@@ -161,4 +163,4 @@ def generate(spec: GeneratorSpec) -> tuple[Dataset, float]:
         "y": np.where(decision, "1", "0"),
         "t": np.where(outcome, "1", "0"),
     }
-    return Dataset(schema, columns), true_disparate_impact(spec)
+    return Dataset(parse_schema(SCHEMA), columns), true_disparate_impact(spec)

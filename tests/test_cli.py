@@ -239,3 +239,66 @@ def test_stdout_emission(table_files, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert json.loads(captured.out)["verdict"]["point"] == "fail"
+
+
+# -- exit-code contract: malformed invocations --------------------------------------
+
+GEN = ["--data", "gen.csv", "--schema", "gen-schema.json"]
+
+MALFORMED = [
+    # (id, argv, exit code, stderr fragment)
+    ("schema-json-list", ["audit", "--data", "gen.csv", "--schema", "list.json"],
+     2, "schema must be a JSON object"),
+    ("spec-json-list", ["synth", "--spec", "list.json", "--data", "o.csv"],
+     2, "generator spec must be a JSON object"),
+    ("model-without-encoding", ["fliptest", *GEN, "--model", "no-encoding.json"],
+     2, "malformed model file"),
+    ("model-json-list", ["explain", *GEN, "--model", "list.json"], 2, "malformed model file"),
+    ("unwritable-out", ["audit", *GEN, "--out", "nodir/r.json"], 2, "nodir/r.json"),
+    ("unwritable-repaired-out", ["repair", *GEN, "--features", "x1",
+                                 "--repaired-out", "nodir/r.csv"], 2, "nodir/r.csv"),
+    ("unwritable-model", ["train", *GEN, "--model", "nodir/m.json", "--replicates", "0"],
+     2, "nodir/m.json"),
+    ("unwritable-plan-out", ["repair", *GEN, "--features", "x1", "--repaired-out", "r.csv",
+                             "--plan-out", "nodir/p.json"], 2, "nodir/p.json"),
+    ("unwritable-schema-out", ["synth", "--n", "20", "--data", "o.csv",
+                               "--schema-out", "nodir/s.json"], 2, "nodir/s.json"),
+    ("duplicate-header", ["validate", "--data", "dup.csv", "--schema", "dup-schema.json"],
+     2, "duplicate column names ['s'] in header"),
+    ("level-out-of-range", ["audit", "--data", "absent.csv", "--schema", "absent.json",
+                            "--level", "1.5"], 1, "--level"),
+    ("rule-threshold-out-of-range", ["audit", *GEN, "--threshold", "1.5"], 1, "(0, 1]"),
+    ("score-threshold-out-of-range", ["fliptest", *GEN, "--model", "m.json",
+                                      "--threshold", "1"], 1, "(0, 1)"),
+    ("missing-data", ["audit", "--schema", "gen-schema.json"], 1, "--data"),
+    ("missing-synth-data", ["synth", "--n", "20"], 1, "--data"),
+    ("missing-schema", ["validate", "--data", "gen.csv"], 1, "--schema"),
+    ("missing-model", ["explain", *GEN], 1, "--model"),
+    ("missing-features", ["repair", *GEN], 1, "--features"),
+    ("synth-takes-no-schema", ["synth", "--data", "o.csv", "--schema", "gen-schema.json"],
+     1, "--schema"),
+]
+
+
+@pytest.fixture()
+def malformed_inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--n", "200", "--seed", "1", "--data", "gen.csv",
+                 "--schema-out", "gen-schema.json", "--out", "synth.json"]) == 0
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "no-encoding.json").write_text(json.dumps({
+        "format": "fairaudit-model/1", "intercept": 0.0, "weights": [], "converged": True,
+        "target_column": "y", "config": {}}), encoding="utf-8")
+    (tmp_path / "dup.csv").write_text("s,s,y\nP,N,1\nN,P,0\n", encoding="utf-8")
+    (tmp_path / "dup-schema.json").write_text(json.dumps(SCHEMA_OBJ), encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, code, fragment",
+                         [pytest.param(*row[1:], id=row[0]) for row in MALFORMED])
+def test_malformed_invocation_exit_code(malformed_inputs, capsys, argv, code, fragment):
+    capsys.readouterr()
+    assert main(argv) == code  # an escaping exception fails the test here
+    err = capsys.readouterr().err
+    assert err.startswith("fairaudit")
+    assert "Traceback" not in err
+    assert fragment in err

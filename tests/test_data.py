@@ -122,6 +122,18 @@ def test_parse_schema_shorthand_and_errors():
         parse_schema({"s": {"role": "sensitive", "protected": "f", "bogus": 1}})
 
 
+def test_parse_schema_rejects_a_non_object():
+    with pytest.raises(SchemaError, match="schema must be a JSON object"):
+        parse_schema(["s", "y"])
+
+
+def test_load_csv_names_duplicate_header_columns(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("s,s,y\nP,N,1\nN,P,0\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"duplicate column names \['s'\] in header"):
+        load_csv(path, {"s": {"role": "sensitive", "protected": "P"}})
+
+
 # -- split -----------------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from fairaudit.model import (
     TrainConfig,
     build_encoding,
     encode,
+    load_model,
     loss_and_gradient,
     model_from_dict,
     model_to_dict,
@@ -281,3 +282,31 @@ def test_model_round_trip_preserves_scores():
     assert np.array_equal(predict_scores(m, d), predict_scores(clone, d))
     assert clone.config == m.config
     assert clone.encoding == m.encoding
+
+
+def test_load_model_rejects_malformed_files(tmp_path):
+    m = train_logistic(separable_toy(), config=TrainConfig(l2=0.01))
+    obj = model_to_dict(m)
+    del obj["encoding"]
+    for name, content in (("no-encoding.json", obj), ("list.json", [1, 2])):
+        path = tmp_path / name
+        path.write_text(json.dumps(content), encoding="utf-8")
+        with pytest.raises(DataError, match="malformed model file"):
+            load_model(path)
+
+
+def test_predict_score_agrees_with_predict_scores_row_by_row():
+    rng = CounterRng(4)
+    n = 60
+    x = rng.normals(n)
+    x[[3, 17]] = np.nan
+    region = np.array(["east", "north", "west"])[(rng.uniforms(n) * 3).astype(int)]
+    s = np.where(rng.uniforms(n) < 0.5, "a", "b")
+    y = np.where(x + (s == "a") > 0.2, "1", "0")
+    schema = {"x": ColumnRole("numeric"), "r": ColumnRole("categorical"),
+              "s": ColumnRole("sensitive", protected="a"), "y": ColumnRole("decision", positive="1")}
+    d = Dataset(schema, {"x": x, "r": region, "s": s, "y": y})
+    m = train_logistic(d, include_sensitive=True, config=TrainConfig(l2=0.01))
+    for i in range(n):
+        row = {"x": None if np.isnan(x[i]) else float(x[i]), "r": str(region[i]), "s": str(s[i])}
+        assert predict_score(m, row) == predict_scores(m, d.take([i]))[0]
