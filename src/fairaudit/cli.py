@@ -41,6 +41,7 @@ from .model import (
     load_model,
     predict_scores,
     save_model,
+    target_mask,
     test_error,
     train_logistic,
 )
@@ -270,7 +271,7 @@ def _cmd_audit(args) -> int:
 def _cmd_train(args) -> int:
     d = _load(args)
     seed = _seed(args)
-    config = TrainConfig(seed=seed, target=args.target)
+    config = TrainConfig(target=args.target)
     train_d, holdout_d = split(d, args.test_fraction, seed)
     m = train_logistic(train_d, include_sensitive=args.include_sensitive, config=config)
     save_model(m, args.model)
@@ -311,10 +312,10 @@ def _cmd_fliptest(args) -> int:
 def _model_decision_di(d: Dataset, seed: int, threshold: float) -> tuple[float, float]:
     """(decision DI, holdout error) of a freshly trained sensitive-blind baseline."""
     train_d, holdout_d = split(d, 0.3, seed)
-    m = train_logistic(train_d, include_sensitive=False, config=TrainConfig(seed=seed))
+    m = train_logistic(train_d, include_sensitive=False)
     decisions = decide(predict_scores(m, holdout_d), threshold)
     rates = base_rates(contingency(holdout_d, decisions))
-    return rates.p1 / rates.p2, test_error(m, holdout_d, threshold).rate
+    return rates.p1 / rates.p2, float((decisions != target_mask(m, holdout_d)).mean())
 
 
 def _cmd_repair(args) -> int:
@@ -324,8 +325,7 @@ def _cmd_repair(args) -> int:
     repaired = apply_repair(plan, d, args.lam)
     distortion = repair_distortion(d, repaired, features)
 
-    repaired_out = Path(args.repaired_out or "repaired.csv")
-    save_csv(repaired, repaired_out)
+    save_csv(repaired, args.repaired_out)
     if args.plan_out:
         save_plan(plan, args.plan_out)
 
@@ -335,7 +335,7 @@ def _cmd_repair(args) -> int:
         "repair": {
             "lambda": args.lam,
             "features": features,
-            "repaired_csv": str(repaired_out),
+            "repaired_csv": args.repaired_out,
             "distortion": distortion,
         },
     }
@@ -422,6 +422,7 @@ def _build_parser() -> _Parser:
                            help="decision threshold on model scores")
         if model:
             p.add_argument("--model", required=True, help="model JSON path")
+        p.set_defaults(outputs=("out",))  # the flags naming files the subcommand writes
 
     p = sub.add_parser("validate", help="data report: roles, missing cells, group sizes")
     common(p, decision_threshold=False)
@@ -443,7 +444,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--test-fraction", type=_fraction, default=0.3)
     p.add_argument("--replicates", type=int, default=10, help="cross-validation replicates")
     p.add_argument("--target", choices=("auto", "decision", "outcome"), default="auto")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, outputs=("model", "out"))
 
     p = sub.add_parser("fliptest", help="flip-test a serialized model")
     common(p, model=True)
@@ -454,9 +455,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True,
                    help="comma-separated numeric features to repair")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--repaired-out", help="path for the repaired CSV (default repaired.csv)")
+    p.add_argument("--repaired-out", default="repaired.csv", help="repaired CSV path (default %(default)s)")
     p.add_argument("--plan-out", help="optional path to serialize the repair plan")
-    p.set_defaults(func=_cmd_repair)
+    p.set_defaults(func=_cmd_repair, outputs=("repaired_out", "plan_out", "out"))
 
     p = sub.add_parser("explain", help="permutation importance and local surrogate")
     common(p, model=True)
@@ -475,7 +476,7 @@ def _build_parser() -> _Parser:
                    help="solve the group bias so the exact DI hits this value")
     p.add_argument("--spec", help="generator spec JSON; explicit flags override it")
     p.add_argument("--schema-out", help="write the matching schema JSON here")
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, outputs=("data", "schema_out", "out"))
 
     return parser
 
@@ -487,6 +488,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        # fail before any work, so that no write fails after another has been made
+        for path in filter(None, (getattr(args, dest) for dest in args.outputs)):
+            if not Path(path).parent.is_dir():
+                raise DataError(f"no directory for output file: {path}")
         return args.func(args)
     except (DataError, ValueError, OSError) as e:
         # OSError: an input that cannot be read or an output that cannot be written

@@ -1,11 +1,11 @@
 """Baseline logistic-regression learner: the audit subject.
 
-Deliberately dependency-free and deterministic: full-batch gradient descent
-with backtracking on the L2-penalized mean log loss, zero initialization, and
-an explicit feature encoding (standardized numerics with mean imputation,
-one-hot categoricals against a lexicographic reference, and an optional
-protected-group indicator so discriminating models can be constructed on
-purpose for flip-test demonstrations).
+Deliberately dependency-free and deterministic: damped Newton (IRLS) on the
+L2-penalized mean log loss from zero initialization, halving each step until
+the loss does not increase, and an explicit feature encoding (standardized
+numerics with mean imputation, one-hot categoricals against a lexicographic
+reference, and an optional protected-group indicator so discriminating models
+can be constructed on purpose for flip-test demonstrations).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import CATEGORICAL, DECISION, NUMERIC, OUTCOME, SENSITIVE, ColumnRole, Dataset, split
 from .errors import DataError
-from .rng import CounterRng, derive_seed
+from .rng import derive_seed
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,9 @@ def encode(enc: FeatureEncoding, d: Dataset) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1.0
     max_iter: int = 5000
     l2: float = 1e-3
     tol: float = 1e-6  # gradient max-norm convergence threshold
-    seed: int = 0  # only used when init_scale > 0
-    init_scale: float = 0.0
     target: str = "auto"  # "auto" | "decision" | "outcome"
 
 
@@ -177,13 +174,8 @@ class LogisticModel:
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function with outputs kept inside (0, 1)."""
-    z = np.clip(z, -700.0, 700.0)
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    # keep scores inside (0, 1) even under extreme linear terms
+    ez = np.exp(-np.abs(np.clip(z, -700.0, 700.0)))  # e^-|z| never overflows
+    out = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
     return np.clip(out, 5e-324, 1.0 - 1e-16)
 
 
@@ -207,22 +199,44 @@ def _resolve_target(d: Dataset, config: TrainConfig) -> tuple[str, np.ndarray]:
     choice = config.target
     if choice == "auto":
         choice = DECISION if d.decision_column is not None else OUTCOME
-    if choice == DECISION:
-        name = d.decision_column
-        if name is None:
-            raise DataError("dataset has no decision column to train on")
-        return name, d.positive_decision_mask().astype(np.float64)
-    if choice == OUTCOME:
-        name = d.outcome_column
-        if name is None:
-            raise DataError("dataset has no outcome column to train on")
-        return name, d.positive_outcome_mask().astype(np.float64)
-    raise DataError(f"unknown training target {choice!r}")
+    if choice not in (DECISION, OUTCOME):
+        raise DataError(f"unknown training target {choice!r}")
+    name = d.decision_column if choice == DECISION else d.outcome_column
+    if name is None:
+        raise DataError(f"dataset has no {choice} column to train on")
+    mask = d.positive_decision_mask() if choice == DECISION else d.positive_outcome_mask()
+    return name, mask.astype(np.float64)
+
+
+def _newton(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[np.ndarray, bool]:
+    """Damped Newton (IRLS) from zero; returns (params, converged)."""
+    Xa = np.column_stack([np.ones(len(y)), X])
+    penalty = np.diag(np.r_[0.0, np.full(X.shape[1], config.l2)])
+    params = np.zeros(X.shape[1] + 1)
+    loss, grad = loss_and_gradient(params, X, y, config.l2)
+    for _ in range(config.max_iter):
+        if float(np.max(np.abs(grad))) < config.tol:
+            break
+        p = sigmoid(Xa @ params)
+        hessian = (Xa.T * (p * (1.0 - p))) @ Xa / len(y) + penalty
+        # minimum-norm step: H is singular when columns coincide and l2 = 0
+        step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        scale = 1.0
+        while scale >= 1e-14:
+            candidate = params - scale * step
+            new_loss, new_grad = loss_and_gradient(candidate, X, y, config.l2)
+            if new_loss <= loss:
+                break
+            scale *= 0.5  # damp on any loss increase
+        else:
+            break  # no step along the Newton direction lowers the loss
+        params, loss, grad = candidate, new_loss, new_grad
+    return params, float(np.max(np.abs(grad))) < config.tol
 
 
 def train_logistic(d: Dataset, include_sensitive: bool = False,
                    config: TrainConfig | None = None) -> LogisticModel:
-    """Fit the baseline by full-batch gradient descent with backtracking."""
+    """Fit the baseline by damped Newton steps (IRLS) from zero parameters."""
     config = config or TrainConfig()
     target_name, y = _resolve_target(d, config)
     enc = build_encoding(d, include_sensitive=include_sensitive)
@@ -236,38 +250,10 @@ def train_logistic(d: Dataset, include_sensitive: bool = False,
     if rate in (0.0, 1.0):
         # constant target: the optimum is the constant class
         clipped = min(max(rate, 1e-6), 1.0 - 1e-6)
-        return LogisticModel(
-            encoding=enc,
-            weights=np.zeros(enc.dimension),
-            intercept=math.log(clipped / (1.0 - clipped)),
-            config=config,
-            target_column=target_name,
-            converged=True,
-        )
-
-    params = np.zeros(enc.dimension + 1)
-    if config.init_scale > 0.0:
-        rng = CounterRng(config.seed)
-        params = rng.normals(enc.dimension + 1) * config.init_scale
-
-    lr = config.learning_rate
-    loss, grad = loss_and_gradient(params, X, y, config.l2)
-    for _ in range(config.max_iter):
-        if float(np.max(np.abs(grad))) < config.tol:
-            break
-        stepped = False
-        while lr >= 1e-14:
-            candidate = params - lr * grad
-            new_loss, new_grad = loss_and_gradient(candidate, X, y, config.l2)
-            if new_loss <= loss:
-                stepped = True
-                break
-            lr *= 0.5  # backtrack on any loss increase
-        if not stepped:
-            break
-        params, loss, grad = candidate, new_loss, new_grad
-    converged = float(np.max(np.abs(grad))) < config.tol
-
+        params = np.r_[math.log(clipped / (1.0 - clipped)), np.zeros(enc.dimension)]
+        converged = True
+    else:
+        params, converged = _newton(X, y, config)
     weights = params[1:].copy()
     weights.flags.writeable = False
     return LogisticModel(
@@ -403,7 +389,9 @@ def model_from_dict(obj: dict) -> LogisticModel:
         encoding=enc,
         weights=weights,
         intercept=float(obj["intercept"]),
-        config=TrainConfig(**obj["config"]),
+        # older files also carry the retired gradient-descent settings
+        config=TrainConfig(**{k: v for k, v in obj["config"].items()
+                              if k not in ("learning_rate", "init_scale", "seed")}),
         target_column=str(obj["target_column"]),
         converged=bool(obj["converged"]),
     )

@@ -13,6 +13,7 @@ are checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -76,11 +77,17 @@ def spec_from_dict(obj: dict) -> GeneratorSpec:
         raise DataError(f"invalid generator spec: {e}") from None
 
 
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use; callers share them."""
+    return np.polynomial.legendre.leggauss(_QUAD_NODES)
+
+
 def mean_sigmoid_normal(mean: float, sd: float) -> float:
     """E[sigmoid(Z)] for Z ~ N(mean, sd^2), by Gauss-Legendre quadrature."""
     if sd == 0.0:
         return float(sigmoid(np.array([mean]))[0])
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    nodes, weights = _legendre_rule()
     # integrate over +-10 sd; the omitted tail mass is ~1.5e-23
     half = 10.0 * sd
     t = mean + half * nodes

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 
 import numpy as np
@@ -263,6 +264,13 @@ MALFORMED = [
                              "--plan-out", "nodir/p.json"], 2, "nodir/p.json"),
     ("unwritable-schema-out", ["synth", "--n", "20", "--data", "o.csv",
                                "--schema-out", "nodir/s.json"], 2, "nodir/s.json"),
+    # a late output must not fail after earlier outputs were written
+    ("train-unwritable-out", ["train", *GEN, "--model", "m.json", "--replicates", "0",
+                              "--out", "nodir/t.json"], 2, "nodir/t.json"),
+    ("repair-unwritable-out", ["repair", *GEN, "--features", "x1", "--repaired-out", "r.csv",
+                               "--plan-out", "p.json", "--out", "nodir/r.json"], 2, "nodir/r.json"),
+    ("synth-unwritable-out", ["synth", "--n", "20", "--data", "o.csv", "--schema-out", "s.json",
+                              "--out", "nodir/s.json"], 2, "nodir/s.json"),
     ("duplicate-header", ["validate", "--data", "dup.csv", "--schema", "dup-schema.json"],
      2, "duplicate column names ['s'] in header"),
     ("level-out-of-range", ["audit", "--data", "absent.csv", "--schema", "absent.json",
@@ -297,8 +305,10 @@ def malformed_inputs(tmp_path, monkeypatch):
                          [pytest.param(*row[1:], id=row[0]) for row in MALFORMED])
 def test_malformed_invocation_exit_code(malformed_inputs, capsys, argv, code, fragment):
     capsys.readouterr()
+    before = sorted(os.listdir())
     assert main(argv) == code  # an escaping exception fails the test here
     err = capsys.readouterr().err
     assert err.startswith("fairaudit")
     assert "Traceback" not in err
     assert fragment in err
+    assert sorted(os.listdir()) == before  # no output file was created

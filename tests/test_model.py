@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import ColumnRole, DataError, Dataset, cross_validate, decide, predict_score, predict_scores, train_logistic
 from fairaudit import test_error as holdout_error
@@ -161,6 +163,82 @@ def test_gradient_matches_central_differences():
             assert rel < 1e-5
 
 
+def gradient_descent_reference(X, y, l2, tol=1e-6, max_iter=5000):
+    """The solver train_logistic used before Newton, kept as an oracle: full-batch
+    gradient descent from zero, halving a learning rate that never grows again
+    whenever a step would raise the loss. Returns (params, loss)."""
+    params = np.zeros(X.shape[1] + 1)
+    lr = 1.0
+    loss, grad = loss_and_gradient(params, X, y, l2)
+    for _ in range(max_iter):
+        if float(np.max(np.abs(grad))) < tol:
+            break
+        while lr >= 1e-14:
+            candidate = params - lr * grad
+            new_loss, new_grad = loss_and_gradient(candidate, X, y, l2)
+            if new_loss <= loss:
+                break
+            lr *= 0.5
+        else:
+            break
+        params, loss, grad = candidate, new_loss, new_grad
+    return params, loss
+
+
+def seeded_mixed_dataset(seed: int, n: int, modalities: int) -> Dataset:
+    """Two numerics (one with missing cells), a categorical and a noisy logistic target."""
+    rng = CounterRng(seed)
+    x1 = rng.normals(n)
+    x2 = rng.normals(n) * 3.0 + 1.0
+    x2[rng.uniforms(n) < 0.1] = np.nan
+    codes = (rng.uniforms(n) * modalities).astype(int)
+    region = np.array(["east", "north", "south", "west"])[codes]
+    s = np.where(np.arange(n) % 2 == 0, "a", "b")
+    z = 0.8 * x1 - 0.5 * np.nan_to_num(x2 - 1.0) / 3.0 + 0.4 * codes - 0.6 * (s == "a")
+    y = np.where(rng.uniforms(n) < 1.0 / (1.0 + np.exp(-z)), "1", "0")
+    y[:2] = ["1", "0"]  # both classes present
+    schema = {"x1": ColumnRole("numeric"), "x2": ColumnRole("numeric"),
+              "r": ColumnRole("categorical"), "s": ColumnRole("sensitive", protected="a"),
+              "y": ColumnRole("decision", positive="1")}
+    return Dataset(schema, {"x1": x1, "x2": x2, "r": region, "s": s, "y": y})
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 150), modalities=st.integers(1, 4),
+       include_sensitive=st.booleans(), l2=st.sampled_from([1e-3, 1e-2, 0.1]))
+def test_newton_matches_gradient_descent_reference(seed, n, modalities, include_sensitive, l2):
+    d = seeded_mixed_dataset(seed, n, modalities)
+    config = TrainConfig(l2=l2)
+    m = train_logistic(d, include_sensitive=include_sensitive, config=config)
+    X = encode(m.encoding, d)
+    y = d.positive_decision_mask().astype(float)
+    params = np.r_[m.intercept, m.weights]
+    loss, grad = loss_and_gradient(params, X, y, l2)
+    _, reference_loss = gradient_descent_reference(X, y, l2, config.tol, config.max_iter)
+    assert m.converged
+    assert float(np.max(np.abs(grad))) < config.tol
+    # Both solvers stop anywhere inside max|g| < tol, which leaves up to a few
+    # 1e-12 of loss above the optimum (seed=13775077, n=40, one modality, l2=0.1
+    # stops 1.45e-12 above the reference). The Newton decrement g'H^-1 g / 2
+    # measures that remainder, so compare the optimum Newton's point predicts.
+    Xa = np.column_stack([np.ones(len(y)), X])
+    p = 1.0 / (1.0 + np.exp(-(Xa @ params)))
+    hessian = (Xa.T * (p * (1.0 - p))) @ Xa / len(y) + np.diag(np.r_[0.0, np.full(X.shape[1], l2)])
+    remainder = 0.5 * float(grad @ np.linalg.lstsq(hessian, grad, rcond=None)[0])
+    assert loss - remainder <= reference_loss + 1e-12
+
+
+def test_duplicated_column_without_penalty_converges_to_equal_weights():
+    rng = CounterRng(17)
+    x = rng.normals(80)
+    y = np.where(rng.uniforms(80) < 1.0 / (1.0 + np.exp(-x)), "1", "0")
+    s = np.where(rng.uniforms(80) < 0.5, "a", "b")
+    d = feature_dataset(x, y, s, extra={"x_twin": x.copy()})
+    m = train_logistic(d, config=TrainConfig(l2=0.0))  # singular Hessian
+    assert m.converged
+    assert m.weights[0] == pytest.approx(m.weights[1], rel=1e-9)
+
+
 def test_needs_enough_rows():
     d = Dataset(
         {"x": ColumnRole("numeric"), "s": ColumnRole("sensitive", protected="a"),
@@ -282,6 +360,19 @@ def test_model_round_trip_preserves_scores():
     assert np.array_equal(predict_scores(m, d), predict_scores(clone, d))
     assert clone.config == m.config
     assert clone.encoding == m.encoding
+
+
+def test_load_model_ignores_retired_gradient_descent_keys(tmp_path):
+    d = separable_toy()
+    m = train_logistic(d, include_sensitive=True, config=TrainConfig(l2=0.01))
+    current = model_to_dict(m)
+    legacy = json.loads(json.dumps(current))
+    legacy["config"].update(learning_rate=1.0, init_scale=0.0, seed=0)
+    for name, obj in (("current.json", current), ("legacy.json", legacy)):
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    old, new = load_model(tmp_path / "legacy.json"), load_model(tmp_path / "current.json")
+    assert old.config == new.config == m.config
+    assert np.array_equal(predict_scores(old, d), predict_scores(new, d))
 
 
 def test_load_model_rejects_malformed_files(tmp_path):
