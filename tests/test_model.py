@@ -20,6 +20,7 @@ from fairaudit.model import (
     loss_and_gradient,
     model_from_dict,
     model_to_dict,
+    sigmoid,
 )
 from fairaudit.rng import CounterRng
 
@@ -237,6 +238,24 @@ def test_duplicated_column_without_penalty_converges_to_equal_weights():
     m = train_logistic(d, config=TrainConfig(l2=0.0))  # singular Hessian
     assert m.converged
     assert m.weights[0] == pytest.approx(m.weights[1], rel=1e-9)
+
+
+def masked_sigmoid_reference(z):
+    """The masked-branch form sigmoid had before it computed both branches at once."""
+    z = np.clip(z, -700.0, 700.0)
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, 5e-324, 1.0 - 1e-16)
+
+
+def test_sigmoid_bit_identical_to_masked_reference():
+    z = np.concatenate([CounterRng(5).normals(5000) * 40.0,
+                        [0.0, -0.0, 1e-300, -1e-300, 36.8, -36.8, 700.0, -700.0, 745.2, -745.2, 1e308,
+                         -1e308, np.inf, -np.inf]])
+    assert np.array_equal(sigmoid(z), masked_sigmoid_reference(z))
 
 
 def test_needs_enough_rows():
