@@ -31,6 +31,7 @@ IGNORED = "ignored"
 
 ROLE_KINDS = (NUMERIC, CATEGORICAL, SENSITIVE, DECISION, OUTCOME, IGNORED)
 _BINARY_KINDS = (SENSITIVE, DECISION, OUTCOME)
+WRITE_CHUNK_ROWS = 8192  # rows that save_csv formats per writerows call
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,9 @@ def _as_numeric(name: str, values: Sequence) -> np.ndarray:
 
 
 def _as_text(name: str, values: Sequence) -> np.ndarray:
-    arr = np.asarray([str(v) for v in values], dtype=str)
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "U"):
+        values = [str(v) for v in values]  # a unicode array's cells are str already
+    arr = np.array(values, dtype=str)  # copy: callers keep their arrays
     arr.flags.writeable = False
     return arr
 
@@ -318,20 +321,17 @@ def save_csv(d: Dataset, path: str | Path) -> None:
     """Write the dataset back out; numeric cells use shortest round-trip repr."""
     path = Path(path)
     names = list(d.schema)
+    numeric = [d.schema[n].kind == NUMERIC for n in names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        cols = [d.values(n) for n in names]
-        numeric = [d.schema[n].kind == NUMERIC for n in names]
-        for i in range(d.n):
-            row = []
-            for col, is_num in zip(cols, numeric):
-                v = col[i]
-                if is_num:
-                    row.append("" if np.isnan(v) else repr(float(v)))
-                else:
-                    row.append(str(v))
-            writer.writerow(row)
+        # column-wise formatting, a chunk of rows at a time to bound memory
+        for start in range(0, d.n, WRITE_CHUNK_ROWS):
+            cols = []
+            for name, is_num in zip(names, numeric):
+                cells = d.values(name)[start:start + WRITE_CHUNK_ROWS].tolist()
+                cols.append(["" if v != v else repr(v) for v in cells] if is_num else cells)
+            writer.writerows(zip(*cols))
 
 
 # -- splitting / validation -----------------------------------------------------
@@ -366,31 +366,21 @@ def split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset
     order = sorted(range(len(groups)), key=lambda i: (-(quotas[i] - counts[i]), i))
     for i in order[:remainder]:
         counts[i] += 1
-    # keep every modality present on both sides
+    # keep every modality present on both sides, then give back what that
+    # clamp moved, group by group as far as each one's bounds allow
     for i, g in enumerate(groups):
         counts[i] = max(1, min(len(g) - 1, counts[i]))
-    drift = test_size - sum(counts)
-    while drift != 0:
-        step = 1 if drift > 0 else -1
-        moved = False
-        for i, g in enumerate(groups):
-            new = counts[i] + step
-            if 1 <= new <= len(g) - 1:
-                counts[i] = new
-                drift -= step
-                moved = True
-                break
-        if not moved:
-            break  # bounds saturated; sizes stay as close as feasible
+    for i, g in enumerate(groups):
+        counts[i] = max(1, min(len(g) - 1, counts[i] + test_size - sum(counts)))
 
     rng = CounterRng(seed)
     test_idx: list[int] = []
     for g, k in zip(groups, counts):
         perm = rng.permutation(len(g))
         test_idx.extend(g[perm[:k]].tolist())
-    test_set = set(test_idx)
-    train_idx = [i for i in range(d.n) if i not in test_set]
-    return d.take(train_idx), d.take(sorted(test_idx))
+    in_test = np.zeros(d.n, dtype=bool)
+    in_test[test_idx] = True
+    return d.take(np.flatnonzero(~in_test)), d.take(np.flatnonzero(in_test))
 
 
 def validate(d: Dataset) -> dict:

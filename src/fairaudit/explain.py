@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .model import LogisticModel, decide, encode, predict_scores, score_matrix, target_mask
+from .model import LogisticModel, decide, encode, score_matrix, target_mask
 from .rng import CounterRng, derive_seed
 
 
@@ -49,17 +49,25 @@ def permutation_importance(m: LogisticModel, d: Dataset, threshold: float = 0.5,
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
     y = target_mask(m, d)
-    baseline = float(np.mean(decide(predict_scores(m, d), threshold) == y))
+    enc = m.encoding
+    X = encode(enc, d)
+    baseline = float(np.mean(decide(score_matrix(m, X), threshold) == y))
+
+    # encoding is row-wise, so permuting a column's rows permutes exactly its
+    # block of design-matrix columns; a column with no block keeps the baseline
+    bounds = np.cumsum([0] + [len(enc.column_features(c)) for c in enc.source_order])
+    blocks = {c: slice(lo, hi) for c, lo, hi in zip(enc.source_order, bounds[:-1], bounds[1:])}
 
     columns = d.numeric_features + d.categorical_features + [d.sensitive_column]
     importances: dict[str, float] = {}
     for fi, name in enumerate(columns):
-        values = d.values(name)
+        block = blocks.get(name, slice(0, 0))
+        permuted = X.copy()
         accs = []
         for r in range(repeats):
             rng = CounterRng(derive_seed(derive_seed(seed, fi), r))
-            permuted = d.with_values(name, values[rng.permutation(d.n)])
-            accs.append(float(np.mean(decide(predict_scores(m, permuted), threshold) == y)))
+            permuted[:, block] = X[rng.permutation(d.n), block]
+            accs.append(float(np.mean(decide(score_matrix(m, permuted), threshold) == y)))
         importances[name] = baseline - float(np.mean(accs))
     return PermutationImportance(
         baseline_accuracy=baseline,

@@ -327,15 +327,12 @@ def auc(scores, outcomes) -> MetricEstimate:
         raise DataError("AUC requires at least one positive and one negative outcome")
 
     order = np.argsort(s, kind="stable")
+    # runs of equal scores share their average 1-based rank; finite doubles
+    # differ by 0 exactly when they are equal (-0.0 ties 0.0)
+    start = np.flatnonzero(np.r_[True, np.diff(s[order]) != 0])
+    end = np.r_[start[1:], len(s)] - 1
     ranks = np.empty(len(s))
-    sorted_s = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))  # average rank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * ((start + 1) + (end + 1)), end - start + 1)
     rank_sum = float(np.sum(ranks[pos]))
     value = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return MetricEstimate("auc", value)

@@ -52,18 +52,19 @@ class FeatureEncoding:
     sensitive: SensitiveSpec | None
     dropped: tuple[str, ...] = ()
 
+    def column_features(self, col: str) -> list[str]:
+        """Names of the design-matrix columns that one source column encodes to."""
+        if col in self.numeric:
+            return [col]
+        if col in self.categorical:
+            return [f"{col}={m}" for m in self.categorical[col].modalities[1:]]
+        if self.sensitive is not None and col == self.sensitive.name:
+            return [f"{col}={self.sensitive.protected}"]
+        return []
+
     @property
     def feature_names(self) -> list[str]:
-        names: list[str] = []
-        for col in self.source_order:
-            if col in self.numeric:
-                names.append(col)
-            elif col in self.categorical:
-                spec = self.categorical[col]
-                names.extend(f"{col}={m}" for m in spec.modalities[1:])
-            elif self.sensitive is not None and col == self.sensitive.name:
-                names.append(f"{col}={self.sensitive.protected}")
-        return names
+        return [name for col in self.source_order for name in self.column_features(col)]
 
     @property
     def dimension(self) -> int:
@@ -231,7 +232,9 @@ def _newton(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[np.ndarr
         else:
             break  # no step along the Newton direction lowers the loss
         params, loss, grad = candidate, new_loss, new_grad
-    return params, float(np.max(np.abs(grad))) < config.tol
+    # l2 = 0 with every row strictly on its side: the loss has no finite minimiser
+    separable = config.l2 == 0 and bool(np.all((2.0 * y - 1.0) * (Xa @ params) > 0))
+    return params, float(np.max(np.abs(grad))) < config.tol and not separable
 
 
 def train_logistic(d: Dataset, include_sensitive: bool = False,

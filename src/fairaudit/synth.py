@@ -134,6 +134,8 @@ def solve_group_bias(spec: GeneratorSpec, target_di: float,
         raise DataError(f"target {target_di} not bracketed by bias range [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # lo and hi are adjacent doubles: the midpoint can only repeat
         if di(mid) - target_di <= 0:
             lo = mid
         else:

@@ -1,7 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import ColumnRole, DataError, Dataset, SchemaError, load_csv, parse_schema, save_csv, split, validate
+from fairaudit.data import WRITE_CHUNK_ROWS
 from fairaudit.rng import CounterRng
 
 from conftest import binary_dataset
@@ -97,6 +102,82 @@ def test_round_trip_is_idempotent(tmp_path):
     out2 = tmp_path / "out2.csv"
     save_csv(d2, out2)
     assert out.read_text() == out2.read_text()
+
+
+def save_csv_reference(d, path):
+    """The per-row writer that save_csv replaced, kept as its byte-level oracle."""
+    names = list(d.schema)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        cols = [d.values(n) for n in names]
+        numeric = [d.schema[n].kind == "numeric" for n in names]
+        for i in range(d.n):
+            row = []
+            for col, is_num in zip(cols, numeric):
+                v = col[i]
+                if is_num:
+                    row.append("" if np.isnan(v) else repr(float(v)))
+                else:
+                    row.append(str(v))
+            writer.writerow(row)
+
+
+def test_save_csv_bytes_match_per_row_reference(tmp_path):
+    n = 2 * WRITE_CHUNK_ROWS + 123  # three chunks, the last one short
+    rng = CounterRng(5)
+    x = rng.normals(n) * 10.0 ** np.floor(rng.uniforms(n) * 40 - 20)
+    x[rng.uniforms(n) < 0.1] = np.nan
+    x[:5] = [-0.0, np.inf, -np.inf, 5e-324, 0.1 + 0.2]
+    texts = np.array(["plain", "a,b", 'say "hi"', "two\nlines", "cr\rlf\r\n", "café ☕ 東京", "",
+                      " pad "])
+    pick = (rng.uniforms(n) * len(texts)).astype(int)
+    d = Dataset(
+        {
+            "x": ColumnRole("numeric"),
+            "c": ColumnRole("categorical"),
+            "note": ColumnRole("ignored"),
+            "s": ColumnRole("sensitive", protected="Ä"),
+            "y": ColumnRole("decision", positive="1"),
+        },
+        {
+            "x": x,
+            "c": texts[pick],  # unicode ndarray
+            "note": [str(v) for v in texts[::-1][pick]],  # list of str
+            "s": np.where(rng.uniforms(n) < 0.5, "Ä", 'b,"q"'),
+            "y": np.where(rng.uniforms(n) < 0.3, "1", "0"),
+        },
+    )
+    save_csv(d, tmp_path / "new.csv")
+    save_csv_reference(d, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# any text a UTF-8 CSV can carry: no lone surrogates, no NUL
+_cell_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                     max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_save_then_load_round_trips(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 25))
+    x = data.draw(st.lists(st.floats(), min_size=n, max_size=n))
+    c = data.draw(st.lists(_cell_text, min_size=n, max_size=n))
+    labels = data.draw(st.lists(_cell_text.filter(bool), min_size=1, max_size=2, unique=True))
+    s = data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    schema = {
+        "x": ColumnRole("numeric"),
+        "c": ColumnRole("categorical"),
+        "s": ColumnRole("sensitive", protected=s[0]),
+    }
+    d = Dataset(schema, {"x": x, "c": c, "s": s})
+    out = tmp_path_factory.mktemp("rt") / "d.csv"
+    save_csv(d, out)
+    back = load_csv(out, schema)
+    assert back == d
+    present = ~np.isnan(d.values("x"))  # a missing cell carries no sign
+    assert np.array_equal(np.signbit(back.values("x")[present]), np.signbit(d.values("x")[present]))
 
 
 def test_columns_are_immutable():
@@ -197,6 +278,30 @@ def test_split_partition_and_stratification_property():
                     for p in (train, test)
                 )
                 assert got == total
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_protected=st.integers(2, 30),
+       n_other=st.sampled_from([0]) | st.integers(2, 30),  # one modality, or two
+       test_fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**63))
+def test_split_invariants(data, n_protected, n_other, test_fraction, seed):
+    n = n_protected + n_other
+    s = data.draw(st.permutations(["P"] * n_protected + ["N"] * n_other))
+    d = Dataset(
+        {"row": ColumnRole("numeric"), "s": ColumnRole("sensitive", protected="P"),
+         "y": ColumnRole("decision", positive="1")},
+        {"row": np.arange(n), "s": s, "y": ["1", "0"] * (n // 2) + ["1"] * (n % 2)},
+    )
+    train, test = split(d, test_fraction, seed)
+    train_rows = train.values("row").astype(int).tolist()
+    test_rows = test.values("row").astype(int).tolist()
+    assert not set(train_rows) & set(test_rows)
+    assert sorted(train_rows + test_rows) == list(range(n))
+    assert train_rows == sorted(train_rows) and test_rows == sorted(test_rows)
+    observed = set(d.values("s").tolist())
+    assert set(train.values("s").tolist()) == observed == set(test.values("s").tolist())
+    again_train, again_test = split(d, test_fraction, seed)
+    assert again_train == train and again_test == test
 
 
 # -- validate --------------------------------------------------------------------

@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from fairaudit import DataError, local_surrogate, permutation_importance, predict_score, train_logistic
-from fairaudit.model import FeatureEncoding, LogisticModel, NumericSpec, TrainConfig
-from fairaudit.rng import CounterRng
+from fairaudit import (
+    ColumnRole, DataError, Dataset, local_surrogate, permutation_importance, predict_score, train_logistic,
+)
+from fairaudit.model import (
+    FeatureEncoding, LogisticModel, NumericSpec, TrainConfig, decide, predict_scores, target_mask,
+)
+from fairaudit.rng import CounterRng, derive_seed
 
 from conftest import feature_dataset
 
@@ -67,6 +73,41 @@ def test_permutation_importance_deterministic():
     a = permutation_importance(m, d, repeats=5, seed=11)
     b = permutation_importance(m, d, repeats=5, seed=11)
     assert a == b
+
+
+def permutation_importance_reference(m, d, threshold=0.5, repeats=10, seed=0):
+    """Importances by re-encoding a permuted copy of the dataset per repeat."""
+    y = target_mask(m, d)
+    baseline = float(np.mean(decide(predict_scores(m, d), threshold) == y))
+    importances = {}
+    for fi, name in enumerate(d.numeric_features + d.categorical_features + [d.sensitive_column]):
+        accs = []
+        for r in range(repeats):
+            rng = CounterRng(derive_seed(derive_seed(seed, fi), r))
+            permuted = d.with_values(name, d.values(name)[rng.permutation(d.n)])
+            accs.append(float(np.mean(decide(predict_scores(m, permuted), threshold) == y)))
+        importances[name] = baseline - float(np.mean(accs))
+    return baseline, importances
+
+
+@pytest.mark.parametrize("include_sensitive", [False, True])
+def test_permutation_importance_bit_identical_to_reencoding(include_sensitive):
+    rng = CounterRng(23)
+    n = 400
+    x = rng.normals(n)
+    s = np.where(rng.uniforms(n) < 0.4, "a", "b")
+    c = np.array(["lo", "mid", "hi", ""])[(rng.uniforms(n) * 4).astype(int)]
+    y = np.where(x + (s == "a") + (c == "hi") + rng.normals(n) > 0.5, "1", "0")
+    d = feature_dataset(x, y, s, extra={"flat": np.ones(n)})  # "flat" is dropped, no block
+    d = Dataset({**d.schema, "c": ColumnRole("categorical"), "one": ColumnRole("categorical")},
+                {**{k: d.values(k) for k in d.schema}, "c": c, "one": np.full(n, "only")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the constant column is dropped with a warning
+        m = train_logistic(d, include_sensitive=include_sensitive)
+    pi = permutation_importance(m, d, repeats=4, seed=3)
+    reference = permutation_importance_reference(m, d, repeats=4, seed=3)
+    assert (pi.baseline_accuracy, pi.importances) == reference
+    assert pi.importances["flat"] == 0.0 and pi.importances["one"] == 0.0
 
 
 def test_permutation_importance_validates_repeats():

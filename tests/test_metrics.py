@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fairaudit import (
     ContingencyTable,
@@ -306,6 +308,19 @@ def test_auc_matches_exhaustive_oracle_exactly():
         if outcomes.all() or not outcomes.any():
             outcomes[0] = ~outcomes[0]
         assert auc(scores, outcomes).value == auc_pair_count(scores.tolist(), outcomes.tolist())
+
+
+# few distinct values, with signed zeros and subnormals
+TIED_SCORES = [-2.5, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.25, 1.0, 3.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from(TIED_SCORES), st.booleans()),
+                      min_size=2, max_size=60))
+def test_auc_equals_pair_count_on_heavy_ties(pairs):
+    scores, outcomes = map(list, zip(*pairs))
+    assume(any(outcomes) and not all(outcomes))
+    assert auc(scores, outcomes).value == auc_pair_count(scores, outcomes)
 
 
 def test_auc_single_class_errors():

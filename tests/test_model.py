@@ -119,6 +119,13 @@ def test_separable_toy_reaches_zero_training_error():
     assert holdout_error(m, d).rate == 0.0
 
 
+def test_separable_toy_without_penalty_is_not_converged():
+    # every row ends strictly on its side, so the loss has no finite minimiser
+    m = train_logistic(separable_toy(), config=TrainConfig(l2=0.0))
+    assert holdout_error(m, separable_toy()).rate == 0.0
+    assert not m.converged
+
+
 def test_constant_target_closed_form():
     d = separable_toy()
     const = d.with_values("y", ["1"] * d.n)

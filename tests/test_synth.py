@@ -41,6 +41,23 @@ def test_bisection_hits_target_di():
     assert bias < 0
 
 
+def fixed_bisection_reference(spec, target_di, lo=-20.0, hi=20.0):
+    """Bisection for a fixed 200 steps, the oracle of the early stop in solve_group_bias."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if true_disparate_impact(replace(spec, group_bias=mid)) - target_di <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("target_di", [0.2, 0.6, 0.8, 1.0, 1.3])
+def test_early_stopped_bisection_is_bit_identical(target_di):
+    spec = GeneratorSpec(n=100, seed=0)
+    assert solve_group_bias(spec, target_di) == fixed_bisection_reference(spec, target_di)
+
+
 def test_tuned_generator_empirical_di_close():
     spec = GeneratorSpec(n=10000, seed=5)
     spec = replace(spec, group_bias=solve_group_bias(spec, 0.60))
