@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,6 +32,7 @@ IGNORED = "ignored"
 
 ROLE_KINDS = (NUMERIC, CATEGORICAL, SENSITIVE, DECISION, OUTCOME, IGNORED)
 _BINARY_KINDS = (SENSITIVE, DECISION, OUTCOME)
+READ_CHUNK_ROWS = 4096  # rows that load_csv turns into column arrays at once
 WRITE_CHUNK_ROWS = 8192  # rows that save_csv formats per writerows call
 
 
@@ -277,44 +279,54 @@ def load_csv(path: str | Path, schema: Mapping[str, object]) -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty, header row required") from None
-        rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty, header row required")
+            duplicates = sorted({name for name in header if header.count(name) > 1})
+            if duplicates:
+                raise DataError(f"{path}: duplicate column names {duplicates} in header")
+            unknown = [name for name in roles if name not in header]
+            if unknown:
+                raise SchemaError(f"{path}: schema names {unknown} not in header {header}")
+            full_schema = {name: roles.get(name, ColumnRole(IGNORED)) for name in header}
+            numeric = [role.kind == NUMERIC for role in full_schema.values()]
 
-    duplicates = sorted({name for name in header if header.count(name) > 1})
-    if duplicates:
-        raise DataError(f"{path}: duplicate column names {duplicates} in header")
-    unknown = [name for name in roles if name not in header]
-    if unknown:
-        raise SchemaError(f"{path}: schema names {unknown} not in header {header}")
-
-    full_schema: dict[str, ColumnRole] = {}
-    for name in header:
-        full_schema[name] = roles.get(name, ColumnRole(IGNORED))
-
-    columns: dict[str, list] = {name: [] for name in header}
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
-        for name, cell in zip(header, row):
-            role = full_schema[name]
-            if role.kind == NUMERIC:
-                if cell == "":
-                    columns[name].append(float("nan"))
-                else:
-                    try:
-                        columns[name].append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {i + 2}, column {name!r}: "
-                            f"cannot parse {cell!r} as a number"
-                        ) from None
-            else:
-                columns[name].append(cell)
-    if not rows:
+            # column-wise, a chunk of rows at a time: the row lists die with their chunk
+            parts: list[list[np.ndarray]] = [[] for _ in header]
+            first_row = 2  # record number of the chunk's first row; the header is row 1
+            while rows := list(islice(reader, READ_CHUNK_ROWS)):
+                try:
+                    if set(map(len, rows)) != {len(header)}:
+                        raise ValueError  # a ragged chunk: the row scan names the record
+                    cols = [np.array([float(c) if c else np.nan for c in cells]) if is_num
+                            else np.array(cells, dtype=str)
+                            for cells, is_num in zip(zip(*rows), numeric)]
+                except ValueError:
+                    _raise_first_bad_row(path, header, numeric, rows, first_row)
+                for part, col in zip(parts, cols):
+                    part.append(col)
+                first_row += len(rows)
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+    if first_row == 2:
         raise DataError(f"{path}: no data rows")
-    return Dataset(full_schema, columns)
+    return Dataset(full_schema, {name: np.concatenate(part) for name, part in zip(header, parts)})
+
+
+def _raise_first_bad_row(path: Path, header: list[str], numeric: list[bool],
+                         rows: list[list[str]], first_row: int) -> None:
+    """Raise the error of the first record in a chunk that is ragged or holds a non-number."""
+    for i, row in enumerate(rows, first_row):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
+        for name, is_num, cell in zip(header, numeric, row):
+            if is_num and cell:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number"
+                    ) from None
 
 
 def save_csv(d: Dataset, path: str | Path) -> None:

@@ -386,6 +386,9 @@ def model_from_dict(obj: dict) -> LogisticModel:
         sensitive=SensitiveSpec(**enc_obj["sensitive"]) if enc_obj["sensitive"] else None,
         dropped=tuple(enc_obj.get("dropped", ())),
     )
+    specs = {*enc.numeric, *enc.categorical, *([enc.sensitive.name] if enc.sensitive else [])}
+    if unknown := [c for c in enc.source_order if c not in specs]:
+        raise DataError(f"encoding.source_order names {unknown} that have no spec")
     weights = np.asarray(obj["weights"], dtype=np.float64)
     weights.flags.writeable = False
     return LogisticModel(
@@ -411,5 +414,5 @@ def load_model(path: str | Path) -> LogisticModel:
     obj = json.loads(path.read_text(encoding="utf-8"))
     try:
         return model_from_dict(obj)
-    except (AttributeError, KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError, DataError) as e:
         raise DataError(f"malformed model file {path}: {type(e).__name__}: {e}") from None

@@ -1,14 +1,21 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import load_csv, parse_schema
 from fairaudit.cli import main
 
+GOLDEN = Path(__file__).parent / "golden"
 SCHEMA_OBJ = {
     "s": {"role": "sensitive", "protected": "P"},
     "y": {"role": "decision", "positive": "1"},
@@ -273,6 +280,10 @@ MALFORMED = [
                               "--out", "nodir/s.json"], 2, "nodir/s.json"),
     ("duplicate-header", ["validate", "--data", "dup.csv", "--schema", "dup-schema.json"],
      2, "duplicate column names ['s'] in header"),
+    ("oversized-field", ["validate", "--data", "big.csv", "--schema", "dup-schema.json"],
+     2, "big.csv: line 3: field larger than field limit"),
+    ("model-names-unknown-column", ["fliptest", "--data", "hand.csv", "--schema", "hand-schema.json",
+                                    "--model", "bogus.json"], 2, "malformed model file bogus.json"),
     ("level-out-of-range", ["audit", "--data", "absent.csv", "--schema", "absent.json",
                             "--level", "1.5"], 1, "--level"),
     ("rule-threshold-out-of-range", ["audit", *GEN, "--threshold", "1.5"], 1, "(0, 1]"),
@@ -299,6 +310,13 @@ def malformed_inputs(tmp_path, monkeypatch):
         "target_column": "y", "config": {}}), encoding="utf-8")
     (tmp_path / "dup.csv").write_text("s,s,y\nP,N,1\nN,P,0\n", encoding="utf-8")
     (tmp_path / "dup-schema.json").write_text(json.dumps(SCHEMA_OBJ), encoding="utf-8")
+    (tmp_path / "big.csv").write_text("s,y\nP,1\nN," + "0" * (csv.field_size_limit() + 1) + "\n",
+                                      encoding="utf-8")
+    for name in ("hand.csv", "hand-schema.json"):
+        shutil.copy(GOLDEN / "inputs" / name, tmp_path / name)
+    model = json.loads((GOLDEN / "expected" / "model-hand.json").read_text(encoding="utf-8"))
+    model["encoding"]["source_order"].insert(1, "bogus")
+    (tmp_path / "bogus.json").write_text(json.dumps(model), encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv, code, fragment",
@@ -312,3 +330,66 @@ def test_malformed_invocation_exit_code(malformed_inputs, capsys, argv, code, fr
     assert "Traceback" not in err
     assert fragment in err
     assert sorted(os.listdir()) == before  # no output file was created
+
+
+# -- exit-code contract: generated inputs ----------------------------------------------
+
+_FUZZ_CELLS = {
+    "labels": st.sampled_from(["P", "N"]),
+    "bits": st.sampled_from(["0", "1"]),
+    "numbers": st.one_of(st.floats().map(repr), st.sampled_from(["", "nan", "-inf", " 1 ", "1_0", "x1"])),
+    "any": st.one_of(
+        st.text(st.sampled_from(['P', '0', '1', '.', 'e', '-', ',', '"', '\n', '\r', '\x00', ' ', 'é']),
+                max_size=4),
+        st.just("9" * (csv.field_size_limit() + 1)),  # past the csv module's field limit
+    ),
+}
+_FUZZ_ROLES = st.one_of(
+    st.sampled_from(["numeric", "categorical", "ignored", "bogus", {"role": "sensitive"}, {"positive": "1"}]),
+    st.builds(lambda role, label: {"role": role, "protected" if role == "sensitive" else "positive": label},
+              st.sampled_from(["sensitive", "decision", "outcome"]), st.sampled_from(["P", "N", "1", "0", ""])),
+)
+
+
+@st.composite
+def fuzz_inputs(draw):
+    """(CSV bytes, schema object): a table that is often valid and often not, in any of many ways."""
+    header = draw(st.permutations(["s", "y", "x", "t", "c"]))[:draw(st.sampled_from([5, 5, 4, 3, 1]))]
+    if draw(st.integers(0, 4)) == 0:
+        header.append(draw(st.sampled_from([*header, "", "z"])))
+    usual = {"s": "labels", "y": "bits", "t": "bits"}
+    kinds = [usual.get(name) if name in usual and draw(st.integers(0, 4))
+             else draw(st.sampled_from(list(_FUZZ_CELLS))) for name in header]
+    rows = [[draw(_FUZZ_CELLS[k]) for k in kinds] for _ in range(draw(st.integers(0, 10)))]
+    for row in rows:
+        if draw(st.integers(0, 9)) == 0:  # a ragged record
+            del row[draw(st.integers(0, len(row))):]
+            row.extend(draw(st.lists(_FUZZ_CELLS["any"], max_size=2)))
+    text = io.StringIO()
+    if draw(st.booleans()):
+        csv.writer(text).writerows([header, *rows])
+    else:  # no quoting at all: stray quotes and bare line breaks reach the reader as they are
+        text.write("".join(",".join(row) + "\n" for row in [header, *rows]))
+    prefix = draw(st.sampled_from([b"\xef\xbb\xbf", b"\xff"])) if draw(st.integers(0, 4)) == 0 else b""
+    schema = {"s": {"role": "sensitive", "protected": "P"}, "y": {"role": "decision", "positive": "1"}}
+    if draw(st.booleans()):
+        schema.update(draw(st.dictionaries(st.sampled_from(["s", "y", "x", "t", "c", "z"]), _FUZZ_ROLES,
+                                           max_size=2)))
+    return prefix + text.getvalue().encode("utf-8"), schema
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs=fuzz_inputs())
+def test_generated_inputs_keep_the_exit_code_contract(tmp_path_factory, inputs):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "d.csv").write_bytes(inputs[0])
+    (work / "s.json").write_text(json.dumps(inputs[1]), encoding="utf-8")
+    common = ["--data", str(work / "d.csv"), "--schema", str(work / "s.json"), "--no-timestamp"]
+    for argv in (["validate", *common], ["audit", *common, "--out", str(work / "r.json")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)  # an escaping exception fails the test here
+        assert code in (0, 2, 3), argv
+        # an error names the program; 3 is a verdict, which the report carries
+        assert code != 2 or err.getvalue().startswith("fairaudit"), err.getvalue()
+        assert "Traceback" not in err.getvalue()

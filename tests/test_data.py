@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import ColumnRole, DataError, Dataset, SchemaError, load_csv, parse_schema, save_csv, split, validate
-from fairaudit.data import WRITE_CHUNK_ROWS
+from fairaudit import data as data_module
+from fairaudit.data import IGNORED, NUMERIC, READ_CHUNK_ROWS, WRITE_CHUNK_ROWS
 from fairaudit.rng import CounterRng
 
 from conftest import binary_dataset
@@ -206,6 +207,138 @@ def test_parse_schema_shorthand_and_errors():
 def test_parse_schema_rejects_a_non_object():
     with pytest.raises(SchemaError, match="schema must be a JSON object"):
         parse_schema(["s", "y"])
+
+
+def load_csv_reference(path, schema):
+    """The row-wise reader that load_csv replaced, kept as its oracle."""
+    roles = schema if all(isinstance(v, ColumnRole) for v in schema.values()) else parse_schema(schema)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: file is empty, header row required") from None
+        rows = list(reader)
+
+    duplicates = sorted({name for name in header if header.count(name) > 1})
+    if duplicates:
+        raise DataError(f"{path}: duplicate column names {duplicates} in header")
+    unknown = [name for name in roles if name not in header]
+    if unknown:
+        raise SchemaError(f"{path}: schema names {unknown} not in header {header}")
+    full_schema = {name: roles.get(name, ColumnRole(IGNORED)) for name in header}
+
+    columns = {name: [] for name in header}
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
+        for name, cell in zip(header, row):
+            if full_schema[name].kind == NUMERIC:
+                if cell == "":
+                    columns[name].append(float("nan"))
+                else:
+                    try:
+                        columns[name].append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {i + 2}, column {name!r}: "
+                            f"cannot parse {cell!r} as a number"
+                        ) from None
+            else:
+                columns[name].append(cell)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return Dataset(full_schema, columns)
+
+
+def _load_outcome(loader, path, schema):
+    """The dataset a loader returns, or the type and message of the DataError it raises."""
+    try:
+        return loader(path, schema)
+    except DataError as e:
+        return type(e), str(e)
+
+
+def assert_same_load(path, schema):
+    got, want = _load_outcome(load_csv, path, schema), _load_outcome(load_csv_reference, path, schema)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert got == want and list(got.schema) == list(want.schema)
+    for name in want.schema:  # same dtypes and the same bytes, NaN payloads and signed zeros included
+        assert got.values(name).dtype == want.values(name).dtype
+        assert got.values(name).tobytes() == want.values(name).tobytes()
+
+
+_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "nan", "-nan", "inf", "-inf", " 1.5 ", "1_0", "-0.0", "1e400", "١٢"]),
+)
+_NOT_NUMBERS = st.sampled_from(["oops", "1_", "1.2.3", "--1", "0x10", "1,5", "\x00"])
+# quotes, commas, CR/LF, NUL, a BOM and non-ASCII: anything a UTF-8 CSV can carry
+_TEXTS = st.text(st.sampled_from(['a', 'Z', ' ', ',', '"', '\n', '\r', '\x00', '\ufeff', 'é', '東', '😀']),
+                 max_size=5)
+
+
+TABLE_SCHEMA = {"x": "numeric", "z": "numeric", "c": "categorical",
+                "s": {"role": "sensitive", "protected": "P"}, "y": {"role": "decision", "positive": "1"}}
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows): a CSV table for TABLE_SCHEMA, with ragged records and non-numbers in any chunk."""
+    header = draw(st.permutations(["x", "z", "c", "s", "y", "note"]))
+    header = header[:draw(st.sampled_from([6] * 8 + [5, 4]))]  # may drop a declared column
+    if draw(st.integers(0, 19)) == 0:
+        header.append(draw(st.sampled_from(header)))  # a duplicate name
+    labels = ("P", draw(st.sampled_from(["N", "p", "P,Q", "Pé", ""])))
+    cells = {"x": _NUMBERS, "z": _NUMBERS, "c": _TEXTS, "note": _TEXTS,
+             "s": st.sampled_from(labels), "y": st.sampled_from(["1", "0"])}
+    rows = [[draw(cells[name]) for name in header] for _ in range(draw(st.integers(0, 12)))]
+    numeric_at = [i for i, name in enumerate(header) if name in ("x", "z")]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows and numeric_at else 0):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.sampled_from(numeric_at))] = draw(_NOT_NUMBERS)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            del row[draw(st.integers(0, len(row))):]
+        else:
+            row.append(draw(_TEXTS))
+    return header, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=csv_tables(), chunk=st.integers(2, 3), quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+       bom=st.booleans())
+def test_chunked_load_csv_matches_row_wise_reference(tmp_path_factory, table, chunk, quoting, bom):
+    header, rows = table
+    path = tmp_path_factory.mktemp("load") / "d.csv"
+    with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
+        csv.writer(fh, quoting=quoting).writerows([header, *rows])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "READ_CHUNK_ROWS", chunk)
+        assert_same_load(path, TABLE_SCHEMA)
+
+
+def test_load_csv_names_the_bad_record_in_the_last_chunk(tmp_path):
+    n = 2 * READ_CHUNK_ROWS + 57  # three chunks, the last one short
+    rows = [[repr(i / 7), "P" if i % 3 else "N", str(i % 2), "café"] for i in range(n)]
+    rows[5][0] = ""  # a missing cell
+    rows[9][3] = "two\nlines"  # one record over two file lines: rows count records
+    path = tmp_path / "d.csv"
+    schema = {"x": "numeric", "s": {"role": "sensitive", "protected": "P"}}
+
+    def load(rows):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["x", "s", "y", "note"], *rows])
+        assert_same_load(path, schema)
+        return load_csv(path, schema)
+
+    assert load(rows).n == n
+    with pytest.raises(DataError, match=rf"row {n - 18}, column 'x': cannot parse '1.5x' as a number"):
+        load([*rows[:n - 20], ["1.5x", "P", "1", ""], *rows[n - 19:]])
+    with pytest.raises(DataError, match=rf"row {n + 1} has 5 fields, expected 4"):
+        load([*rows[:-1], [*rows[-1], ""]])
 
 
 def test_load_csv_names_duplicate_header_columns(tmp_path):

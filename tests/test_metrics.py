@@ -4,8 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairaudit import (
+    ColumnRole,
     ContingencyTable,
     DataError,
+    Dataset,
     GroupConfusion,
     GroupRates,
     auc,
@@ -39,8 +41,6 @@ def test_contingency_all_positive():
 
 
 def test_contingency_empty_group_errors():
-    from fairaudit import ColumnRole, Dataset
-
     d = Dataset(
         {"s": ColumnRole("sensitive", protected="P"), "y": ColumnRole("decision", positive="1")},
         {"s": ["P", "P"], "y": ["1", "0"]},
@@ -149,6 +149,31 @@ def test_disparity_group_swap_inverts_ratios():
 def test_disparity_degenerate_rates_error():
     with pytest.raises(DataError, match="degenerate"):
         disparity_metrics(GroupRates(p1=1.0, p2=1.0, p=1.0))
+
+
+def _disparity_or_none(d):
+    try:
+        return disparity_metrics(base_rates(contingency(d)))
+    except DataError:  # degenerate rates: both orientations must refuse
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n1=st.integers(1, 60), n2=st.integers(1, 60), data=st.data())
+def test_swapping_the_declared_protected_label_inverts_di_and_negates_rd(n1, n2, data):
+    a, c = data.draw(st.integers(0, n1)), data.draw(st.integers(0, n2))  # 0 takes the zero-cell correction
+    assume(a + c > 0)  # the declared positive decision must occur
+    d = binary_dataset(a, n1 - a, c, n2 - c)  # protected "P", the other group "N"
+    swapped = Dataset({**d.schema, "s": ColumnRole("sensitive", protected="N")},
+                      {name: d.values(name) for name in d.schema})
+    fwd, rev = _disparity_or_none(d), _disparity_or_none(swapped)
+    assert (fwd is None) == (rev is None)
+    if fwd is None:
+        return
+    di, di_swapped = fwd["disparate_impact"].value, rev["disparate_impact"].value
+    assert abs(di * di_swapped - 1.0) < 1e-12  # relative error of di_swapped against 1 / di
+    assert rev["risk_difference"].value == -fwd["risk_difference"].value
+    assert rev["disparate_impact"].corrected == fwd["disparate_impact"].corrected == (a == 0 or c == 0)
 
 
 # -- verdict ---------------------------------------------------------------------------
