@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .audit import flip_test
-from .data import Dataset, load_csv, parse_schema, save_csv, split, validate
+from .data import Dataset, load_csv, parse_schema, read_json, save_csv, split, validate
 from .errors import DataError
 from .explain import local_surrogate, permutation_importance
 from .inference import di_ci_delta, disparate_impact_statistic, eo_ci_delta
@@ -162,15 +162,8 @@ def _meta(args, subcommand: str, d: Dataset | None = None, seed: int | None = No
     return meta
 
 
-def _read_json(path: str, what: str):
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such {what} file: {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def _load(args) -> Dataset:
-    return load_csv(args.data, parse_schema(_read_json(args.schema, "schema")))
+    return load_csv(args.data, parse_schema(read_json(args.schema, "schema")))
 
 
 def _fields(obj, *drop: str) -> dict:
@@ -372,7 +365,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    base = _read_json(args.spec, "generator spec") if args.spec else {}
+    base = read_json(args.spec, "generator spec") if args.spec else {}
     if not isinstance(base, dict):
         raise DataError("generator spec must be a JSON object")
     flags = {"n": args.n, "seed": args.seed, "protected_fraction": args.protected_fraction,

@@ -13,6 +13,7 @@ functions of their inputs (and a seed, where one is taken).
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -263,6 +264,16 @@ class Dataset:
 
 
 # -- loading / saving ----------------------------------------------------------
+
+
+def read_json(path: str | Path, what: str):
+    """The contents of a JSON input file; a DataError naming the file otherwise."""
+    if not Path(path).exists():
+        raise DataError(f"no such {what} file: {path}")
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise DataError(f"{what} file {path} is not JSON: {e}") from None
 
 
 def load_csv(path: str | Path, schema: Mapping[str, object]) -> Dataset:

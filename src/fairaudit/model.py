@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CATEGORICAL, DECISION, NUMERIC, OUTCOME, SENSITIVE, ColumnRole, Dataset, split
+from .data import CATEGORICAL, DECISION, NUMERIC, OUTCOME, SENSITIVE, ColumnRole, Dataset, read_json, split
 from .errors import DataError
 from .rng import derive_seed
 
@@ -408,10 +408,7 @@ def save_model(m: LogisticModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LogisticModel:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such model file: {path}")
-    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj = read_json(path, "model")
     try:
         return model_from_dict(obj)
     except (AttributeError, KeyError, TypeError, DataError) as e:

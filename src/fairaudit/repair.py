@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_json
 from .errors import DataError
 
 
@@ -212,7 +212,4 @@ def save_plan(plan: RepairPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> RepairPlan:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such repair plan file: {path}")
-    return plan_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return plan_from_dict(read_json(path, "repair plan"))

@@ -50,6 +50,17 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64((seed & _MASK) ^ mix64(((index + 1) * GOLDEN) & _MASK))
 
 
+def resample_block(seed: int, sizes: list[int], start: int, stop: int) -> np.ndarray:
+    """Within-group resample indices of replicates ``start`` to ``stop - 1``: row i is
+    ``CounterRng(derive_seed(seed, start + i)).integers(n, n)`` for each n in ``sizes``, joined."""
+    index = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    seeds = _mix_block(np.uint64(seed & _MASK) ^ _mix_block(index * _U_GOLDEN))
+    counters = np.arange(1, sum(sizes) + 1, dtype=np.uint64)
+    k = (_mix_block(seeds[:, None] + counters * _U_GOLDEN) >> _U11).astype(np.float64)
+    # k * 2**-53 and n * 2**-53 are exact, so this rounds as integers() does; the cast floors
+    return (k * np.repeat(np.asarray(sizes, dtype=np.float64) * _INV53, sizes)).astype(np.int64)
+
+
 class CounterRng:
     """Seeded stream of uniforms/normals with an explicit draw counter."""
 

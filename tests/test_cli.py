@@ -262,6 +262,11 @@ MALFORMED = [
     ("model-without-encoding", ["fliptest", *GEN, "--model", "no-encoding.json"],
      2, "malformed model file"),
     ("model-json-list", ["explain", *GEN, "--model", "list.json"], 2, "malformed model file"),
+    ("schema-not-json", ["audit", "--data", "gen.csv", "--schema", "bad.json"],
+     2, "schema file bad.json is not JSON"),
+    ("spec-not-json", ["synth", "--spec", "bad.json", "--data", "o.csv"],
+     2, "generator spec file bad.json is not JSON"),
+    ("model-not-json", ["explain", *GEN, "--model", "bad.json"], 2, "model file bad.json is not JSON"),
     ("unwritable-out", ["audit", *GEN, "--out", "nodir/r.json"], 2, "nodir/r.json"),
     ("unwritable-repaired-out", ["repair", *GEN, "--features", "x1",
                                  "--repaired-out", "nodir/r.csv"], 2, "nodir/r.csv"),
@@ -305,6 +310,7 @@ def malformed_inputs(tmp_path, monkeypatch):
     assert main(["synth", "--n", "200", "--seed", "1", "--data", "gen.csv",
                  "--schema-out", "gen-schema.json", "--out", "synth.json"]) == 0
     (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "bad.json").write_text("not json", encoding="utf-8")
     (tmp_path / "no-encoding.json").write_text(json.dumps({
         "format": "fairaudit-model/1", "intercept": 0.0, "weights": [], "converged": True,
         "target_column": "y", "config": {}}), encoding="utf-8")

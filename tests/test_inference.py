@@ -1,11 +1,18 @@
 import math
+import warnings
+from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import (
+    ColumnRole,
     ContingencyTable,
     DataError,
+    Dataset,
     GroupConfusion,
     bootstrap_ci,
     contingency,
@@ -15,6 +22,8 @@ from fairaudit import (
     equal_opportunity_statistic,
     normal_quantile,
 )
+from fairaudit import inference
+from fairaudit.rng import CounterRng, derive_seed
 
 from conftest import binary_dataset, confusion_dataset
 
@@ -160,3 +169,123 @@ def test_bootstrap_reports_failure_fraction():
 
     with pytest.raises(DataError, match="undefined on"):
         bootstrap_ci(broken, d, B=100, seed=0, name="broken")
+
+
+# -- bootstrap: the per-replicate definition as the reference ---------------------------
+
+
+def reference_bootstrap(statistic, d, B, seed, level=0.95, name=None):
+    """One CounterRng, one ``Dataset.take`` and one statistic call per replicate."""
+    protected = d.protected_mask()
+    group_idx = [g for g in (np.flatnonzero(protected), np.flatnonzero(~protected)) if len(g) > 0]
+    values, failures = [], 0
+    for i in range(B):
+        rng = CounterRng(derive_seed(seed, i))
+        resample = d.take(np.concatenate([g[rng.integers(len(g), len(g))] for g in group_idx]))
+        try:
+            values.append(statistic(resample))
+        except DataError:
+            failures += 1
+    if failures > 0.10 * B:
+        raise DataError(f"statistic undefined on {failures}/{B} resamples ({failures / B:.1%} > 10%)")
+    alpha = (1.0 - level) / 2.0
+    lo, hi = np.quantile(np.asarray(values), [alpha, 1.0 - alpha], method="linear")
+    return inference.IntervalEstimate(name or statistic.__name__, "bootstrap", level, float(lo), float(hi),
+                                      replicates=B, seed=seed)
+
+
+def decision_share(d):
+    """A custom statistic, undefined on a resample without positive decisions."""
+    share = float(np.mean(d.positive_decision_mask()))
+    if share == 0.0:
+        raise DataError("no positive decision")
+    return share
+
+
+def outcome_table(protected_rows, other_rows):
+    """Dataset from (decision, outcome) bit pairs per group; the other group may be empty."""
+    rows = [("P", *r) for r in protected_rows] + [("N", *r) for r in other_rows]
+    # a Dataset must observe its declared modalities when built: one row that has
+    # them is appended, and dropped again by the take
+    extra = [("P", True, True)]
+    schema = {"s": ColumnRole("sensitive", protected="P"), "y": ColumnRole("decision", positive="1"),
+              "t": ColumnRole("outcome", positive="1")}
+    columns = {"s": [r[0] for r in rows + extra], "y": ["1" if r[1] else "0" for r in rows + extra],
+               "t": ["1" if r[2] else "0" for r in rows + extra]}
+    return Dataset(schema, columns).take(np.arange(len(rows)))
+
+
+def _interval_or_message(run):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return run()
+        except DataError as e:
+            return str(e)
+
+
+_ROWS = st.tuples(st.booleans(), st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(protected_rows=st.lists(_ROWS, min_size=0, max_size=14), other_rows=st.lists(_ROWS, max_size=14),
+       statistic=st.sampled_from([disparate_impact_statistic, equal_opportunity_statistic, decision_share]),
+       B=st.integers(100, 260), seed=st.integers(-(1 << 63), (1 << 64) - 1),
+       chunk=st.sampled_from([1, 37, 100, 1 << 16]), level=st.sampled_from([0.8, 0.95]))
+def test_bootstrap_equals_per_replicate_reference(protected_rows, other_rows, statistic, B, seed, chunk, level):
+    if not protected_rows and not other_rows:
+        protected_rows = [(True, True)]
+    d = outcome_table(protected_rows, other_rows)
+    with mock.patch.object(inference, "BOOTSTRAP_CHUNK_DRAWS", chunk):
+        got = _interval_or_message(lambda: bootstrap_ci(statistic, d, B, seed, level))
+    assert got == _interval_or_message(lambda: reference_bootstrap(statistic, d, B, seed, level))
+
+
+def test_bootstrap_of_a_table_without_its_column_fails_every_resample():
+    d = binary_dataset(5, 5, 5, 5)  # no outcome column
+    with pytest.raises(DataError, match="undefined on 100/100 resamples"):
+        bootstrap_ci(equal_opportunity_statistic, d, B=100, seed=0)
+
+
+def failing_on_first(k):
+    """A statistic that raises on its first ``k`` calls and is 1.0 after."""
+    calls = []
+
+    def statistic(_):
+        calls.append(None)
+        if len(calls) <= k:
+            raise DataError("undefined")
+        return 1.0
+    return statistic
+
+
+@pytest.mark.parametrize("k", [1, 10])
+def test_bootstrap_failure_bound_is_ten_percent_inclusive(k):
+    d = binary_dataset(10, 10, 10, 10)
+    with pytest.warns(UserWarning, match=rf"^statistic undefined on {k}/100 resamples; dropped$"):
+        iv = bootstrap_ci(failing_on_first(k), d, B=100, seed=0, name="flaky")
+    assert (iv.lo, iv.hi, iv.replicates) == (1.0, 1.0, 100)
+    with pytest.raises(DataError, match=r"undefined on 11/100 resamples \(11\.0% > 10%\)"):
+        bootstrap_ci(failing_on_first(11), d, B=100, seed=0, name="flaky")
+
+
+def test_bootstrap_without_failures_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bootstrap_ci(disparate_impact_statistic, binary_dataset(0, 10, 10, 10), B=100, seed=0)
+
+
+def test_eo_count_form_drops_replicates_without_group_two_true_positives():
+    # 3 true positives among 20 non-protected rows: a resample has none with
+    # probability (17/20)^20, about 4%, so some replicates are dropped
+    d = confusion_dataset((8, 2, 2, 4), (3, 1, 1, 15))
+    with pytest.warns(UserWarning, match=r"statistic undefined on \d+/400 resamples; dropped"):
+        iv = bootstrap_ci(equal_opportunity_statistic, d, B=400, seed=4)
+    assert iv == reference_bootstrap(equal_opportunity_statistic, d, B=400, seed=4)
+    # 1 of 12: a resample has none with probability (11/12)^12, about 35%
+    d = confusion_dataset((8, 2, 2, 4), (1, 1, 1, 9))
+    with pytest.raises(DataError, match="undefined on") as ours:
+        bootstrap_ci(equal_opportunity_statistic, d, B=400, seed=4)
+    with pytest.raises(DataError) as reference:
+        reference_bootstrap(equal_opportunity_statistic, d, B=400, seed=4)
+    assert str(ours.value) == str(reference.value)

@@ -10,6 +10,7 @@ from fairaudit import (
     Dataset,
     GroupConfusion,
     GroupRates,
+    MetricEstimate,
     auc,
     base_rates,
     confusion_gaps,
@@ -199,6 +200,11 @@ def test_verdict_interval_mode():
     assert eighty_percent_verdict(high, 0.8, use_interval=True) == "pass"
     with pytest.raises(ValueError, match="no interval"):
         eighty_percent_verdict(MetricEstimate("disparate_impact", 0.7), 0.8, use_interval=True)
+
+
+def test_verdict_interval_lower_end_at_threshold_passes():
+    at = MetricEstimate("disparate_impact", 0.85, lo=0.8, hi=0.9, level=0.95)
+    assert eighty_percent_verdict(at, 0.8, use_interval=True) == "pass"
 
 
 def test_verdict_invariant_under_group_size_rescaling():

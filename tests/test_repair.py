@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,15 @@ def test_plan_round_trip(tmp_path):
     save_plan(plan, path)
     loaded = load_plan(path)
     assert apply_repair(loaded, d, 0.6) == apply_repair(plan, d, 0.6)
+
+
+def test_load_plan_names_a_broken_or_missing_file(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text("not json", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"repair plan file {path} is not JSON")):
+        load_plan(path)
+    with pytest.raises(DataError, match="no such repair plan file"):
+        load_plan(tmp_path / "absent.json")
 
 
 def test_fit_once_apply_many():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairaudit.rng import CounterRng, derive_seed, mix64
+from fairaudit.rng import CounterRng, derive_seed, mix64, resample_block
 
 # Reference stream for seed 42, also documented in the README. Any change to
 # these values breaks reproducibility of every seeded artifact.
@@ -80,3 +82,23 @@ def test_derive_seed_distinct_and_stable():
 
 def test_mix64_masks_to_64_bits():
     assert 0 <= mix64((1 << 70) + 5) < (1 << 64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-(1 << 63), (1 << 64) - 1), sizes=st.lists(st.integers(0, 40), min_size=1, max_size=3),
+       start=st.integers(0, 5000), rows=st.integers(1, 7))
+def test_resample_block_rows_are_per_replicate_streams(seed, sizes, start, rows):
+    block = resample_block(seed, sizes, start, start + rows)
+    assert block.shape == (rows, sum(sizes)) and block.dtype == np.int64
+    for i, row in enumerate(block):
+        rng = CounterRng(derive_seed(seed, start + i))
+        expected = [rng.integers(n, n) for n in sizes if n > 0]
+        assert row.tolist() == (np.concatenate(expected).tolist() if expected else [])
+
+
+def test_resample_block_matches_integers_at_a_large_group_size():
+    sizes = [1_000_003, 7]
+    block = resample_block(11, sizes, 41, 43)
+    for i, row in enumerate(block):
+        rng = CounterRng(derive_seed(11, 41 + i))
+        assert np.array_equal(row, np.concatenate([rng.integers(n, n) for n in sizes]))
