@@ -6,7 +6,7 @@ flip testing, distributional feature repair, and explanation aids, with a
 built-in logistic baseline so every pipeline runs end to end.
 """
 
-from .audit import FlipTestResult, ShiftResponse, flip_test, stress_shift
+from .audit import FlipTestResult, flip_test
 from .data import ColumnRole, Dataset, load_csv, parse_schema, save_csv, split, validate
 from .errors import DataError, SchemaError
 from .explain import local_surrogate, permutation_importance
@@ -37,7 +37,6 @@ from .metrics import (
 from .model import (
     ErrorEstimate,
     LogisticModel,
-    TrainConfig,
     cross_validate,
     decide,
     load_model,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError
 from .model import LogisticModel, decide, predict_scores
 
 
@@ -31,18 +30,6 @@ class FlipTestResult:
     @property
     def flip_rate(self) -> float:
         return self.flip_count / self.n
-
-
-@dataclass(frozen=True)
-class ShiftResponse:
-    feature: str
-    delta: float
-    baseline_rate: float
-    shifted_rate: float
-
-    @property
-    def response(self) -> float:
-        return self.shifted_rate - self.baseline_rate
 
 
 def swap_sensitive(d: Dataset) -> Dataset:
@@ -75,22 +62,3 @@ def flip_test(m: LogisticModel, d: Dataset, threshold: float = 0.5) -> FlipTestR
         to_negative=to_negative.tolist(),
     )
 
-
-def stress_shift(m: LogisticModel, d: Dataset, feature: str, delta: float,
-                 threshold: float = 0.5) -> ShiftResponse:
-    """Positive-decision rate response to adding ``delta`` to one numeric feature."""
-    role = d.schema.get(feature)
-    if role is None or role.kind != "numeric":
-        raise DataError(f"{feature!r} is not a numeric feature of the dataset")
-    if feature not in m.encoding.numeric:
-        raise DataError(f"model does not consume feature {feature!r}")
-
-    baseline = float(np.mean(decide(predict_scores(m, d), threshold)))
-    shifted = d.with_values(feature, d.values(feature) + delta)  # NaN stays NaN
-    shifted_rate = float(np.mean(decide(predict_scores(m, shifted), threshold)))
-    return ShiftResponse(
-        feature=feature,
-        delta=delta,
-        baseline_rate=baseline,
-        shifted_rate=shifted_rate,
-    )

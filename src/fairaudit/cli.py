@@ -35,7 +35,6 @@ from .metrics import (
     group_confusion,
 )
 from .model import (
-    TrainConfig,
     cross_validate,
     decide,
     load_model,
@@ -264,9 +263,8 @@ def _cmd_audit(args) -> int:
 def _cmd_train(args) -> int:
     d = _load(args)
     seed = _seed(args)
-    config = TrainConfig(target=args.target)
     train_d, holdout_d = split(d, args.test_fraction, seed)
-    m = train_logistic(train_d, include_sensitive=args.include_sensitive, config=config)
+    m = train_logistic(train_d, include_sensitive=args.include_sensitive, target=args.target)
     save_model(m, args.model)
 
     holdout = test_error(m, holdout_d, args.decision_threshold)
@@ -284,7 +282,7 @@ def _cmd_train(args) -> int:
     }
     if args.replicates >= 2:
         cv = cross_validate(d, args.replicates, args.test_fraction, seed,
-                            config=config, include_sensitive=args.include_sensitive,
+                            target=args.target, include_sensitive=args.include_sensitive,
                             threshold=args.decision_threshold)
         report["cv_error"] = _fields(cv, "scheme")
     _emit(report, args)

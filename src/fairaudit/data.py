@@ -266,14 +266,18 @@ class Dataset:
 # -- loading / saving ----------------------------------------------------------
 
 
-def read_json(path: str | Path, what: str):
-    """The contents of a JSON input file; a DataError naming the file otherwise."""
+def read_json(path: str | Path, what: str, parse=None):
+    """A JSON input file's contents, through ``parse`` if given; failures are DataErrors naming it."""
     if not Path(path).exists():
         raise DataError(f"no such {what} file: {path}")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as e:  # not UTF-8, or not JSON
         raise DataError(f"{what} file {path} is not JSON: {e}") from None
+    try:
+        return obj if parse is None else parse(obj)
+    except (AttributeError, KeyError, TypeError, ValueError, DataError) as e:
+        raise DataError(f"malformed {what} file {path}: {type(e).__name__}: {e}") from None
 
 
 def load_csv(path: str | Path, schema: Mapping[str, object]) -> Dataset:
@@ -363,10 +367,11 @@ def save_csv(d: Dataset, path: str | Path) -> None:
 def split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint train/test partition, stratified on the sensitive attribute.
 
-    Test size is round(n * test_fraction) clamped to [1, n-1]; per-group test
-    counts follow the group proportions (largest-remainder rounding) and are
-    clamped so both parts keep at least one row of every observed modality.
-    Deterministic for a fixed seed.
+    Test size is round(n * test_fraction); per-group test counts follow the
+    group proportions (largest-remainder rounding) and are clamped so both
+    parts keep at least one row of every observed modality, which can move
+    the total (n = 4 in two groups of 2 always tests 2). Deterministic for a
+    fixed seed.
     """
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -380,8 +385,7 @@ def split(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset
         if len(g) < 2:
             raise DataError("a sensitive modality has fewer than 2 rows; stratified split impossible")
 
-    test_size = int(round(d.n * test_fraction))
-    test_size = max(1, min(d.n - 1, test_size))
+    test_size = int(round(d.n * test_fraction))  # not clamped: the per-group clamps bound it
 
     quotas = [test_size * len(g) / d.n for g in groups]
     counts = [int(np.floor(q)) for q in quotas]

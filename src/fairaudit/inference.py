@@ -97,8 +97,6 @@ def eo_ci_delta(pair: tuple[GroupConfusion, GroupConfusion], level: float = 0.95
     m1, m2 = p.tp + p.fn, q.tp + q.fn
     if m1 < 2 or m2 < 2:
         raise DataError("interval requires at least 2 outcome-positive rows per group")
-    if p.tp < 1 or q.tp < 1:
-        raise DataError("interval requires at least 1 true positive per group")
     return _log_ratio_interval("equal_opportunity_ratio", p.tp / m1, q.tp / m2, m1, m2, level)
 
 

@@ -1,11 +1,13 @@
 """Baseline logistic-regression learner: the audit subject.
 
 Deliberately dependency-free and deterministic: damped Newton (IRLS) on the
-L2-penalized mean log loss from zero initialization, halving each step until
-the loss does not increase, and an explicit feature encoding (standardized
-numerics with mean imputation, one-hot categoricals against a lexicographic
-reference, and an optional protected-group indicator so discriminating models
-can be constructed on purpose for flip-test demonstrations).
+mean log loss plus an L2 = 1e-3 penalty on the weights, from zero, halving each
+step until the loss does not increase, for at most MAX_ITER = 5000 steps or until
+the gradient max-norm is below TOL = 1e-6 (fixed settings; only the training
+target is chosen), and an explicit feature encoding (standardized numerics with
+mean imputation, one-hot categoricals against a lexicographic reference, and an
+optional protected-group indicator so discriminating models can be constructed
+on purpose for flip-test demonstrations).
 """
 
 from __future__ import annotations
@@ -145,12 +147,9 @@ def encode(enc: FeatureEncoding, d: Dataset) -> np.ndarray:
 # -- the model ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    max_iter: int = 5000
-    l2: float = 1e-3
-    tol: float = 1e-6  # gradient max-norm convergence threshold
-    target: str = "auto"  # "auto" | "decision" | "outcome"
+MAX_ITER = 5000
+L2 = 1e-3
+TOL = 1e-6  # gradient max-norm convergence threshold
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class LogisticModel:
     encoding: FeatureEncoding
     weights: np.ndarray
     intercept: float
-    config: TrainConfig
+    target: str  # "auto" | "decision" | "outcome"
     target_column: str
     converged: bool
 
@@ -196,8 +195,7 @@ def loss_and_gradient(params: np.ndarray, X: np.ndarray, y: np.ndarray, l2: floa
     return loss, grad
 
 
-def _resolve_target(d: Dataset, config: TrainConfig) -> tuple[str, np.ndarray]:
-    choice = config.target
+def _resolve_target(d: Dataset, choice: str) -> tuple[str, np.ndarray]:
     if choice == "auto":
         choice = DECISION if d.decision_column is not None else OUTCOME
     if choice not in (DECISION, OUTCOME):
@@ -209,39 +207,35 @@ def _resolve_target(d: Dataset, config: TrainConfig) -> tuple[str, np.ndarray]:
     return name, mask.astype(np.float64)
 
 
-def _newton(X: np.ndarray, y: np.ndarray, config: TrainConfig) -> tuple[np.ndarray, bool]:
+def _newton(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
     """Damped Newton (IRLS) from zero; returns (params, converged)."""
     Xa = np.column_stack([np.ones(len(y)), X])
-    penalty = np.diag(np.r_[0.0, np.full(X.shape[1], config.l2)])
+    penalty = np.diag(np.r_[0.0, np.full(X.shape[1], L2)])
     params = np.zeros(X.shape[1] + 1)
-    loss, grad = loss_and_gradient(params, X, y, config.l2)
-    for _ in range(config.max_iter):
-        if float(np.max(np.abs(grad))) < config.tol:
+    loss, grad = loss_and_gradient(params, X, y, L2)
+    for _ in range(MAX_ITER):
+        if float(np.max(np.abs(grad))) < TOL:
             break
         p = sigmoid(Xa @ params)
         hessian = (Xa.T * (p * (1.0 - p))) @ Xa / len(y) + penalty
-        # minimum-norm step: H is singular when columns coincide and l2 = 0
+        # H is positive definite as L2 > 0; lstsq, not solve, keeps the corpus weights bit-exact
         step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
         scale = 1.0
         while scale >= 1e-14:
             candidate = params - scale * step
-            new_loss, new_grad = loss_and_gradient(candidate, X, y, config.l2)
+            new_loss, new_grad = loss_and_gradient(candidate, X, y, L2)
             if new_loss <= loss:
                 break
             scale *= 0.5  # damp on any loss increase
         else:
             break  # no step along the Newton direction lowers the loss
         params, loss, grad = candidate, new_loss, new_grad
-    # l2 = 0 with every row strictly on its side: the loss has no finite minimiser
-    separable = config.l2 == 0 and bool(np.all((2.0 * y - 1.0) * (Xa @ params) > 0))
-    return params, float(np.max(np.abs(grad))) < config.tol and not separable
+    return params, float(np.max(np.abs(grad))) < TOL
 
 
-def train_logistic(d: Dataset, include_sensitive: bool = False,
-                   config: TrainConfig | None = None) -> LogisticModel:
+def train_logistic(d: Dataset, include_sensitive: bool = False, target: str = "auto") -> LogisticModel:
     """Fit the baseline by damped Newton steps (IRLS) from zero parameters."""
-    config = config or TrainConfig()
-    target_name, y = _resolve_target(d, config)
+    target_name, y = _resolve_target(d, target)
     enc = build_encoding(d, include_sensitive=include_sensitive)
     if enc.dimension == 0:
         raise DataError("degenerate encoding: no usable feature columns")
@@ -256,14 +250,14 @@ def train_logistic(d: Dataset, include_sensitive: bool = False,
         params = np.r_[math.log(clipped / (1.0 - clipped)), np.zeros(enc.dimension)]
         converged = True
     else:
-        params, converged = _newton(X, y, config)
+        params, converged = _newton(X, y)
     weights = params[1:].copy()
     weights.flags.writeable = False
     return LogisticModel(
         encoding=enc,
         weights=weights,
         intercept=float(params[0]),
-        config=config,
+        target=target,
         target_column=target_name,
         converged=converged,
     )
@@ -335,17 +329,16 @@ def test_error(m: LogisticModel, d: Dataset, threshold: float = 0.5) -> ErrorEst
 
 
 def cross_validate(d: Dataset, replicates: int, test_fraction: float, seed: int,
-                   config: TrainConfig | None = None,
+                   target: str = "auto",
                    include_sensitive: bool = False,
                    threshold: float = 0.5) -> ErrorEstimate:
     """Monte-Carlo cross-validation: repeated stratified splits, mean test error."""
     if replicates < 2:
         raise DataError(f"cross-validation requires at least 2 replicates, got {replicates}")
-    config = config or TrainConfig()
     rates = []
     for i in range(replicates):
         train_d, test_d = split(d, test_fraction, derive_seed(seed, i))
-        m = train_logistic(train_d, include_sensitive=include_sensitive, config=config)
+        m = train_logistic(train_d, include_sensitive=include_sensitive, target=target)
         rates.append(test_error(m, test_d, threshold).rate)
     rates_arr = np.asarray(rates)
     return ErrorEstimate(
@@ -367,7 +360,7 @@ def model_to_dict(m: LogisticModel) -> dict:
         "weights": [float(w) for w in m.weights],
         "converged": m.converged,
         "target_column": m.target_column,
-        "config": asdict(m.config),
+        "config": {"max_iter": MAX_ITER, "l2": L2, "tol": TOL, "target": m.target},
         "encoding": asdict(m.encoding),  # tuples serialize as JSON lists
     }
 
@@ -395,9 +388,8 @@ def model_from_dict(obj: dict) -> LogisticModel:
         encoding=enc,
         weights=weights,
         intercept=float(obj["intercept"]),
-        # older files also carry the retired gradient-descent settings
-        config=TrainConfig(**{k: v for k, v in obj["config"].items()
-                              if k not in ("learning_rate", "init_scale", "seed")}),
+        # the other recorded solver settings are provenance, not inputs
+        target=str(obj["config"].get("target", "auto")),
         target_column=str(obj["target_column"]),
         converged=bool(obj["converged"]),
     )
@@ -408,8 +400,4 @@ def save_model(m: LogisticModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LogisticModel:
-    obj = read_json(path, "model")
-    try:
-        return model_from_dict(obj)
-    except (AttributeError, KeyError, TypeError, DataError) as e:
-        raise DataError(f"malformed model file {path}: {type(e).__name__}: {e}") from None
+    return read_json(path, "model", model_from_dict)

@@ -212,4 +212,4 @@ def save_plan(plan: RepairPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> RepairPlan:
-    return plan_from_dict(read_json(path, "repair plan"))
+    return read_json(path, "repair plan", plan_from_dict)

@@ -17,7 +17,7 @@ import pytest
 import fairaudit as fa
 from fairaudit.inference import di_ci_delta
 from fairaudit.metrics import GroupConfusion, base_rates, contingency, implied_false_positive_rate
-from fairaudit.model import FeatureEncoding, LogisticModel, NumericSpec, TrainConfig, loss_and_gradient
+from fairaudit.model import FeatureEncoding, LogisticModel, NumericSpec, loss_and_gradient
 from fairaudit.rng import CounterRng, derive_seed
 from fairaudit.synth import GeneratorSpec
 
@@ -200,7 +200,7 @@ def test_criterion_11_explanation_sanity():
         categorical={}, sensitive=None,
     )
     m = LogisticModel(encoding=enc, weights=np.array([1.0, 0.0]), intercept=0.0,
-                      config=TrainConfig(), target_column="y", converged=True)
+                      target="auto", target_column="y", converged=True)
 
     pi = fa.permutation_importance(m, d, repeats=10, seed=0)
     assert abs(pi.importances["z"]) < 0.01  # zero-weight feature

@@ -437,6 +437,41 @@ def test_split_invariants(data, n_protected, n_other, test_fraction, seed):
     assert again_train == train and again_test == test
 
 
+def clamped_test_counts(sizes: list[int], test_size: int) -> list[int]:
+    """Per-group test counts by split's count logic as it was when it still clamped
+    the total test size to [1, n-1] before the per-group clamps."""
+    n = sum(sizes)
+    test_size = max(1, min(n - 1, test_size))
+    quotas = [test_size * size / n for size in sizes]
+    counts = [int(np.floor(q)) for q in quotas]
+    order = sorted(range(len(sizes)), key=lambda i: (-(quotas[i] - counts[i]), i))
+    for i in order[:test_size - sum(counts)]:
+        counts[i] += 1
+    counts = [max(1, min(size - 1, c)) for size, c in zip(sizes, counts)]
+    for i, size in enumerate(sizes):
+        counts[i] = max(1, min(size - 1, counts[i] + test_size - sum(counts)))
+    return counts
+
+
+def test_split_counts_match_the_clamped_reference_exhaustively():
+    # The test size enters split only as round(n * test_fraction), so one
+    # fraction per rounded size in 0..n covers every fraction there is.
+    for n in range(2, 37):
+        for n_protected in [n] + list(range(2, n - 1)):  # one modality, or two
+            sizes = [n_protected, n - n_protected] if n_protected < n else [n]
+            s = ["P"] * n_protected + ["N"] * (n - n_protected)
+            y = ["1", "0"] * (n // 2) + ["1"] * (n % 2)
+            d = Dataset({"s": ColumnRole("sensitive", protected="P"),
+                         "y": ColumnRole("decision", positive="1")}, {"s": s, "y": y})
+            for test_size in range(n + 1):
+                fraction = min(max(test_size, 0.4), n - 0.4) / n
+                assert int(round(n * fraction)) == test_size
+                _, test = split(d, fraction, seed=n)
+                protected = int(np.count_nonzero(test.values("s") == "P"))
+                got = [protected, test.n - protected] if len(sizes) == 2 else [test.n]
+                assert got == clamped_test_counts(sizes, test_size), (sizes, test_size)
+
+
 # -- validate --------------------------------------------------------------------
 
 

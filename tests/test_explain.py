@@ -7,7 +7,7 @@ from fairaudit import (
     ColumnRole, DataError, Dataset, local_surrogate, permutation_importance, predict_score, train_logistic,
 )
 from fairaudit.model import (
-    FeatureEncoding, LogisticModel, NumericSpec, TrainConfig, decide, predict_scores, target_mask,
+    FeatureEncoding, LogisticModel, NumericSpec, decide, predict_scores, target_mask,
 )
 from fairaudit.rng import CounterRng, derive_seed
 
@@ -34,7 +34,7 @@ def linear_hand_model(d, weights):
         sensitive=None,
     )
     return LogisticModel(encoding=enc, weights=np.asarray(weights, dtype=float),
-                         intercept=0.0, config=TrainConfig(), target_column="y",
+                         intercept=0.0, target="auto", target_column="y",
                          converged=True)
 
 

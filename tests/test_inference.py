@@ -117,6 +117,9 @@ def test_eo_delta_precondition_errors():
         eo_ci_delta((GroupConfusion(1, 1, 1, 0), GroupConfusion(5, 1, 1, 5)), 0.95)
     with pytest.raises(DataError):
         eo_ci_delta((GroupConfusion(0, 1, 1, 5), GroupConfusion(5, 1, 1, 5)), 0.95)
+    # a group with outcome positives but no true positive has TPR 0: no log ratio
+    with pytest.raises(DataError, match="degenerate rates"):
+        eo_ci_delta((GroupConfusion(5, 1, 1, 5), GroupConfusion(0, 3, 3, 6)), 0.95)
 
 
 # -- bootstrap ------------------------------------------------------------------------

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from fairaudit import ColumnRole, DataError, Dataset, cross_validate, decide, predict_score, predict_scores, train_logistic
 from fairaudit import test_error as holdout_error
 from fairaudit.model import (
+    L2,
+    MAX_ITER,
+    TOL,
     FeatureEncoding,
     LogisticModel,
     SensitiveSpec,
-    TrainConfig,
     build_encoding,
     encode,
     load_model,
@@ -42,7 +44,7 @@ def hand_model(weight: float, intercept: float) -> LogisticModel:
     )
     return LogisticModel(
         encoding=enc, weights=np.array([weight]), intercept=intercept,
-        config=TrainConfig(), target_column="y", converged=True,
+        target="auto", target_column="y", converged=True,
     )
 
 
@@ -95,11 +97,29 @@ def test_encoding_drops_constant_column_with_warning():
 
 def test_encoding_unknown_modality_warns_and_zero_codes():
     d = separable_toy()
-    m = train_logistic(d, config=TrainConfig(l2=0.01))
+    m = train_logistic(d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         score = predict_score(m, {"x": 1.0})
     assert 0.0 < score < 1.0
+
+
+def test_encode_counts_unseen_modalities_but_not_missing_cells():
+    schema = {"r": ColumnRole("categorical"), "s": ColumnRole("sensitive", protected="a"),
+              "y": ColumnRole("decision", positive="1")}
+    train = Dataset(schema, {"r": ["east", "west", "", "east"], "s": ["a", "b", "a", "b"],
+                             "y": ["1", "0", "1", "0"]})
+    enc = build_encoding(train)
+    assert enc.categorical["r"].modalities == ("east", "west")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # "" is a missing cell, not a modality
+        X = encode(enc, train)
+    assert X[:, 0].tolist() == [0.0, 1.0, 0.0, 0.0]
+    fresh = Dataset(schema, {"r": ["north", "", "south", "north", "west"], "s": ["a", "b", "a", "b", "a"],
+                             "y": ["1", "0", "1", "0", "1"]})
+    with pytest.warns(UserWarning, match="^column 'r': 3 values outside the training modalities"):
+        X = encode(enc, fresh)
+    assert X[:, 0].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def test_sensitive_indicator_encoding():
@@ -115,15 +135,8 @@ def test_sensitive_indicator_encoding():
 
 def test_separable_toy_reaches_zero_training_error():
     d = separable_toy()
-    m = train_logistic(d, config=TrainConfig(l2=0.01))
+    m = train_logistic(d)
     assert holdout_error(m, d).rate == 0.0
-
-
-def test_separable_toy_without_penalty_is_not_converged():
-    # every row ends strictly on its side, so the loss has no finite minimiser
-    m = train_logistic(separable_toy(), config=TrainConfig(l2=0.0))
-    assert holdout_error(m, separable_toy()).rate == 0.0
-    assert not m.converged
 
 
 def test_constant_target_closed_form():
@@ -135,7 +148,7 @@ def test_constant_target_closed_form():
     assert m.converged
 
 
-def test_loss_non_increasing_over_iterations():
+def test_loss_non_increasing_over_iterations(monkeypatch):
     rng = CounterRng(8)
     x = rng.normals(60)
     y = np.where(rng.uniforms(60) < 0.4, "1", "0")
@@ -147,9 +160,11 @@ def test_loss_non_increasing_over_iterations():
 
     losses = []
     for cap in range(1, 25):
-        m = train_logistic(d, config=TrainConfig(max_iter=cap))
+        monkeypatch.setattr("fairaudit.model.MAX_ITER", cap)
+        m = train_logistic(d)
+        assert m.converged == (cap >= 3)  # Newton converges in three steps on this table
         params = np.concatenate([[m.intercept], m.weights])
-        losses.append(loss_and_gradient(params, X, target, 1e-3)[0])
+        losses.append(loss_and_gradient(params, X, target, L2)[0])
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -213,25 +228,25 @@ def seeded_mixed_dataset(seed: int, n: int, modalities: int) -> Dataset:
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 150), modalities=st.integers(1, 4),
-       include_sensitive=st.booleans(), l2=st.sampled_from([1e-3, 1e-2, 0.1]))
-def test_newton_matches_gradient_descent_reference(seed, n, modalities, include_sensitive, l2):
+       include_sensitive=st.booleans())
+def test_newton_matches_gradient_descent_reference(seed, n, modalities, include_sensitive):
     d = seeded_mixed_dataset(seed, n, modalities)
-    config = TrainConfig(l2=l2)
-    m = train_logistic(d, include_sensitive=include_sensitive, config=config)
+    m = train_logistic(d, include_sensitive=include_sensitive)
     X = encode(m.encoding, d)
     y = d.positive_decision_mask().astype(float)
     params = np.r_[m.intercept, m.weights]
-    loss, grad = loss_and_gradient(params, X, y, l2)
-    _, reference_loss = gradient_descent_reference(X, y, l2, config.tol, config.max_iter)
+    loss, grad = loss_and_gradient(params, X, y, L2)
+    _, reference_loss = gradient_descent_reference(X, y, L2, TOL, MAX_ITER)
     assert m.converged
-    assert float(np.max(np.abs(grad))) < config.tol
+    assert float(np.max(np.abs(grad))) < TOL
     # Both solvers stop anywhere inside max|g| < tol, which leaves up to a few
-    # 1e-12 of loss above the optimum (seed=13775077, n=40, one modality, l2=0.1
-    # stops 1.45e-12 above the reference). The Newton decrement g'H^-1 g / 2
-    # measures that remainder, so compare the optimum Newton's point predicts.
+    # 1e-12 of loss above the optimum (at a penalty of 0.1, seed=13775077, n=40
+    # and one modality stopped 1.45e-12 above the reference). The Newton
+    # decrement g'H^-1 g / 2 measures that remainder, so compare the optimum
+    # Newton's point predicts.
     Xa = np.column_stack([np.ones(len(y)), X])
     p = 1.0 / (1.0 + np.exp(-(Xa @ params)))
-    hessian = (Xa.T * (p * (1.0 - p))) @ Xa / len(y) + np.diag(np.r_[0.0, np.full(X.shape[1], l2)])
+    hessian = (Xa.T * (p * (1.0 - p))) @ Xa / len(y) + np.diag(np.r_[0.0, np.full(X.shape[1], L2)])
     remainder = 0.5 * float(grad @ np.linalg.lstsq(hessian, grad, rcond=None)[0])
     assert loss - remainder <= reference_loss + 1e-12
 
@@ -242,7 +257,7 @@ def test_duplicated_column_without_penalty_converges_to_equal_weights():
     y = np.where(rng.uniforms(80) < 1.0 / (1.0 + np.exp(-x)), "1", "0")
     s = np.where(rng.uniforms(80) < 0.5, "a", "b")
     d = feature_dataset(x, y, s, extra={"x_twin": x.copy()})
-    m = train_logistic(d, config=TrainConfig(l2=0.0))  # singular Hessian
+    m = train_logistic(d)  # the penalty splits the shared weight evenly between the twins
     assert m.converged
     assert m.weights[0] == pytest.approx(m.weights[1], rel=1e-9)
 
@@ -305,7 +320,7 @@ def test_decide_boundary_convention():
 
 def test_predict_monotone_in_positive_weight_feature():
     d = separable_toy()
-    m = train_logistic(d, config=TrainConfig(l2=0.01))
+    m = train_logistic(d)
     xs = np.linspace(-3, 3, 21)
     scores = [predict_score(m, {"x": float(v)}) for v in xs]
     assert all(b > a for a, b in zip(scores, scores[1:]))
@@ -330,20 +345,20 @@ def test_error_constant_model_on_balanced_data():
     d = separable_toy()
     m = hand_model(0.0, 0.3)  # always scores 0.574 -> always positive
     m = LogisticModel(encoding=build_encoding(d), weights=np.array([0.0]), intercept=0.3,
-                      config=TrainConfig(), target_column="y", converged=True)
+                      target="auto", target_column="y", converged=True)
     assert holdout_error(m, d).rate == 0.5
 
 
 def test_error_complement_under_label_flip():
     d = separable_toy()
-    m = train_logistic(d, config=TrainConfig(l2=0.01))
+    m = train_logistic(d)
     flipped = d.with_values("y", np.where(d.values("y") == "1", "0", "1"))
     assert holdout_error(m, flipped).rate == pytest.approx(1.0 - holdout_error(m, d).rate)
 
 
 def test_error_requires_target_column():
     d = separable_toy()
-    m = train_logistic(d, config=TrainConfig(l2=0.01))
+    m = train_logistic(d)
     no_target = Dataset(
         {"x": ColumnRole("numeric"), "s": ColumnRole("sensitive", protected="a")},
         {"x": d.values("x"), "s": d.values("s")},
@@ -354,7 +369,7 @@ def test_error_requires_target_column():
 
 def test_cross_validate_separable():
     d = separable_toy(20)
-    est = cross_validate(d, replicates=10, test_fraction=0.3, seed=4, config=TrainConfig(l2=0.01))
+    est = cross_validate(d, replicates=10, test_fraction=0.3, seed=4)
     assert est.rate == 0.0
     assert est.sd == 0.0
     assert est.scheme == "monte-carlo-cv"
@@ -381,28 +396,45 @@ def test_cross_validate_deterministic():
 
 def test_model_round_trip_preserves_scores():
     d = separable_toy()
-    m = train_logistic(d, include_sensitive=True, config=TrainConfig(l2=0.01))
+    m = train_logistic(d, include_sensitive=True)
     clone = model_from_dict(json.loads(json.dumps(model_to_dict(m))))
     assert np.array_equal(predict_scores(m, d), predict_scores(clone, d))
-    assert clone.config == m.config
+    assert clone.target == m.target
     assert clone.encoding == m.encoding
 
 
 def test_load_model_ignores_retired_gradient_descent_keys(tmp_path):
     d = separable_toy()
-    m = train_logistic(d, include_sensitive=True, config=TrainConfig(l2=0.01))
+    m = train_logistic(d, include_sensitive=True)
     current = model_to_dict(m)
     legacy = json.loads(json.dumps(current))
     legacy["config"].update(learning_rate=1.0, init_scale=0.0, seed=0)
     for name, obj in (("current.json", current), ("legacy.json", legacy)):
         (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
     old, new = load_model(tmp_path / "legacy.json"), load_model(tmp_path / "current.json")
-    assert old.config == new.config == m.config
+    assert old.target == new.target == m.target
     assert np.array_equal(predict_scores(old, d), predict_scores(new, d))
 
 
+def test_load_model_reads_only_the_target_of_the_recorded_settings(tmp_path):
+    d = separable_toy()
+    m = train_logistic(d, include_sensitive=True, target="decision")
+    obj = model_to_dict(m)
+    assert obj["config"] == {"max_iter": MAX_ITER, "l2": L2, "tol": TOL, "target": "decision"}
+    other_penalty = json.loads(json.dumps(obj))
+    other_penalty["config"]["l2"] = 0.01  # provenance of a file trained elsewhere
+    no_target = json.loads(json.dumps(obj))
+    del no_target["config"]["target"]
+    for name, content, target in (("l2.json", other_penalty, "decision"), ("no-target.json", no_target, "auto")):
+        path = tmp_path / name
+        path.write_text(json.dumps(content), encoding="utf-8")
+        loaded = load_model(path)
+        assert loaded.target == target
+        assert np.array_equal(predict_scores(loaded, d), predict_scores(m, d))
+
+
 def test_load_model_rejects_malformed_files(tmp_path):
-    m = train_logistic(separable_toy(), config=TrainConfig(l2=0.01))
+    m = train_logistic(separable_toy())
     obj = model_to_dict(m)
     del obj["encoding"]
     for name, content in (("no-encoding.json", obj), ("list.json", [1, 2])):
@@ -423,7 +455,7 @@ def test_predict_score_agrees_with_predict_scores_row_by_row():
     schema = {"x": ColumnRole("numeric"), "r": ColumnRole("categorical"),
               "s": ColumnRole("sensitive", protected="a"), "y": ColumnRole("decision", positive="1")}
     d = Dataset(schema, {"x": x, "r": region, "s": s, "y": y})
-    m = train_logistic(d, include_sensitive=True, config=TrainConfig(l2=0.01))
+    m = train_logistic(d, include_sensitive=True)
     for i in range(n):
         row = {"x": None if np.isnan(x[i]) else float(x[i]), "r": str(region[i]), "s": str(s[i])}
         assert predict_score(m, row) == predict_scores(m, d.take([i]))[0]

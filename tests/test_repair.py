@@ -1,8 +1,11 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import ColumnRole, DataError, Dataset, apply_repair, fit_repair, repair_distortion
 from fairaudit.repair import QuantileMap, load_plan, plan_from_dict, plan_to_dict, save_plan
@@ -116,6 +119,22 @@ def test_apply_out_of_support_clamps_with_warning():
     assert repaired.values("x")[1] == 7.0
 
 
+def test_apply_to_its_own_fit_data_clamps_nothing():
+    # the fit data holds both support edges of each group; values exactly on an
+    # edge are inside the support, so nothing is counted as clamped
+    d = random_dataset(seed=5)
+    plan = fit_repair(d, ["x", "z"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        apply_repair(plan, d, 1.0)
+    edges = Dataset(
+        {"x": ColumnRole("numeric"), "s": ColumnRole("sensitive", protected="a")},
+        {"x": [0.0, 2.0, 10.0, 12.0, -0.5, 12.5, 1.0], "s": ["a", "a", "b", "b", "a", "b", "b"]},
+    )
+    with pytest.warns(UserWarning, match="^3 values outside the fit-time support"):
+        apply_repair(fit_repair(toy_dataset(), ["x"]), edges, 1.0)
+
+
 def test_apply_monotone_within_group():
     d = random_dataset(seed=11)
     plan = fit_repair(d, ["x"])
@@ -183,6 +202,56 @@ def test_distortion_shape_mismatch():
         repair_distortion(d, d.take([0, 1, 2]), ["x"])
 
 
+# -- properties under hypothesis ----------------------------------------------------------
+
+_VALUES = st.sampled_from([-3.0, -1.5, 0.0, 0.25, 2.0, 7.0]) | st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def repair_tables(draw) -> Dataset:
+    """Two numeric features over two groups, with ties and missing cells; every
+    group has at least 2 values of each feature, so a plan can be fitted."""
+    columns: dict[str, list] = {"x": [], "z": [], "s": []}
+    for label in ("p", "q"):
+        size = draw(st.integers(2, 25))
+        for name in ("x", "z"):
+            values = draw(st.lists(_VALUES, min_size=size, max_size=size))
+            missing = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            missing[:2] = [False, False]
+            columns[name] += [np.nan if gone else v for v, gone in zip(values, missing)]
+        columns["s"] += [label] * size
+    order = draw(st.permutations(range(len(columns["s"]))))
+    return Dataset({"x": ColumnRole("numeric"), "z": ColumnRole("numeric"),
+                    "s": ColumnRole("sensitive", protected="p")},
+                   {name: [values[i] for i in order] for name, values in columns.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit=repair_tables(), fresh=repair_tables(), lam=st.floats(0.0, 1.0))
+def test_repair_properties(fit, fresh, lam):
+    plan = fit_repair(fit, ["x", "z"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fresh values outside the fit support clamp
+        assert apply_repair(plan, fresh, 0.0) == fresh
+        for d in (fit, fresh):
+            repaired = apply_repair(plan, d, lam)
+            for name in ("x", "z"):
+                for label in ("p", "q"):
+                    x = d.values(name)[d.values("s") == label]
+                    out = repaired.values(name)[d.values("s") == label]
+                    ok = ~np.isnan(x)
+                    order = np.argsort(x[ok], kind="stable")
+                    assert np.all(np.diff(out[ok][order]) >= 0.0)  # ties may stay tied
+                    assert np.array_equal(np.isnan(out), ~ok)
+    # Each displacement is exact up to rounding of the blend, about 1e-16 of
+    # the value it moves, so the relative bound needs that much absolute slack.
+    full = repair_distortion(fit, apply_repair(plan, fit, 1.0), ["x", "z"])
+    part = repair_distortion(fit, apply_repair(plan, fit, lam), ["x", "z"])
+    slack = 1e-15 * max(np.nanmax(np.abs(fit.values(name))) for name in ("x", "z"))
+    for name in ("x", "z"):
+        assert part["per_feature"][name] == pytest.approx(lam * full["per_feature"][name], rel=1e-12, abs=slack)
+
+
 # -- serialization ---------------------------------------------------------------------
 
 
@@ -206,6 +275,16 @@ def test_load_plan_names_a_broken_or_missing_file(tmp_path):
         load_plan(path)
     with pytest.raises(DataError, match="no such repair plan file"):
         load_plan(tmp_path / "absent.json")
+
+
+def test_load_plan_rejects_malformed_files(tmp_path):
+    no_samples = plan_to_dict(fit_repair(toy_dataset(), ["x"]))
+    del no_samples["samples"]
+    for name, content in (("list.json", [1, 2]), ("empty.json", {}), ("no-samples.json", no_samples)):
+        path = tmp_path / name
+        path.write_text(json.dumps(content), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"malformed repair plan file {path}: ")):
+            load_plan(path)
 
 
 def test_fit_once_apply_many():
