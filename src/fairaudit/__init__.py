@@ -11,7 +11,6 @@ from .data import ColumnRole, Dataset, load_csv, parse_schema, save_csv, split, 
 from .errors import DataError, SchemaError
 from .explain import local_surrogate, permutation_importance
 from .inference import (
-    IntervalEstimate,
     bootstrap_ci,
     di_ci_delta,
     disparate_impact_statistic,
@@ -23,6 +22,7 @@ from .metrics import (
     ContingencyTable,
     GroupConfusion,
     GroupRates,
+    IntervalEstimate,
     MetricEstimate,
     auc,
     base_rates,

@@ -14,15 +14,15 @@ number it shows is present in the JSON. Exit codes are made for pipelines:
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .audit import flip_test
-from .data import Dataset, load_csv, parse_schema, read_json, save_csv, split, validate
+from .data import Dataset, json_text, load_csv, parse_schema, read_json, save_csv, split, validate, write_json
 from .errors import DataError
 from .explain import local_surrogate, permutation_importance
 from .inference import di_ci_delta, disparate_impact_statistic, eo_ci_delta
@@ -45,7 +45,7 @@ from .model import (
     train_logistic,
 )
 from .repair import apply_repair, fit_repair, repair_distortion, save_plan
-from .synth import SCHEMA, generate, solve_group_bias, spec_from_dict
+from .synth import SCHEMA, GeneratorSpec, generate, solve_group_bias, spec_from_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,24 +120,19 @@ def render_markdown(report: dict) -> str:
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2) + "\n"
     fmt = args.format
     if args.out is None:
         if fmt in ("json", "both"):
-            sys.stdout.write(text)
+            sys.stdout.write(json_text(report))
         if fmt in ("md", "both"):
             sys.stdout.write(render_markdown(report))
         return
     out = Path(args.out)
     if fmt in ("json", "both"):
-        out.write_text(text, encoding="utf-8")
+        write_json(report, out)
     if fmt in ("md", "both"):
         md_path = out if fmt == "md" else out.with_suffix(".md")
         md_path.write_text(render_markdown(report), encoding="utf-8")
-
-
-def _seed(args) -> int:
-    return 0 if args.seed is None else args.seed
 
 
 def _meta(args, subcommand: str, d: Dataset | None = None, seed: int | None = None) -> dict:
@@ -167,20 +162,14 @@ def _load(args) -> Dataset:
 
 def _fields(obj, *drop: str) -> dict:
     """A result dataclass as a report section: its fields in declaration order,
-    less the ``drop`` names and less the fields that are None."""
-    return {k: v for k, v in asdict(obj).items() if k not in drop and v is not None}
+    less the ``drop`` names and less the fields left at their declared default."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.name not in drop and getattr(obj, f.name) != f.default}
 
 
 def _with_properties(obj, *names: str) -> dict:
     """A result dataclass's fields followed by the named derived properties."""
     return {**asdict(obj), **{name: getattr(obj, name) for name in names}}
-
-
-def _estimate_dict(est) -> dict:
-    out = {"value": est.value}
-    if est.corrected:
-        out["corrected"] = True
-    return out
 
 
 def _fliptest_section(ft, **extra) -> dict:
@@ -215,33 +204,25 @@ def _cmd_audit(args) -> int:
     report["contingency"] = {**_with_properties(table, "n1", "n2", "m1", "m2", "n"),
                              **asdict(rates)}
     estimates = disparity_metrics(rates)
-    report["metrics"] = {name: _estimate_dict(e) for name, e in estimates.items()}
+    report["metrics"] = {name: _fields(e, "name") for name, e in estimates.items()}
 
     intervals: dict = {}
-    try:
+    verdict: dict = {
+        "rule_threshold": args.threshold,
+        "point": eighty_percent_verdict(estimates["disparate_impact"], args.threshold),
+    }
+    with contextlib.suppress(DataError):  # too few rows for an interval: no interval verdict
         di_iv = di_ci_delta(table, args.level)
         intervals["disparate_impact"] = _fields(di_iv, "statistic")
-    except DataError:
-        di_iv = None
+        verdict["interval"] = eighty_percent_verdict(di_iv, args.threshold)
 
     pair = None
     if d.outcome_column is not None:
         pair = group_confusion(d)
-        try:
+        with contextlib.suppress(DataError):
             intervals["equal_opportunity_ratio"] = _fields(eo_ci_delta(pair, args.level), "statistic")
-        except DataError:
-            pass
     if intervals:
         report["intervals"] = intervals
-
-    di_est = estimates["disparate_impact"]
-    verdict: dict = {
-        "rule_threshold": args.threshold,
-        "point": eighty_percent_verdict(di_est, args.threshold),
-    }
-    if di_iv is not None:
-        with_iv = di_est.with_interval(di_iv.lo, di_iv.hi, di_iv.level)
-        verdict["interval"] = eighty_percent_verdict(with_iv, args.threshold, use_interval=True)
     report["verdict"] = verdict
 
     if pair is not None:
@@ -249,7 +230,7 @@ def _cmd_audit(args) -> int:
         report["confusion"] = {
             "protected": _with_properties(pair[0], *derived),
             "non_protected": _with_properties(pair[1], *derived),
-            "gaps": {name: _estimate_dict(e) for name, e in confusion_gaps(pair).items()},
+            "gaps": {name: _fields(e, "name") for name, e in confusion_gaps(pair).items()},
         }
 
     if args.model is not None:
@@ -262,14 +243,13 @@ def _cmd_audit(args) -> int:
 
 def _cmd_train(args) -> int:
     d = _load(args)
-    seed = _seed(args)
-    train_d, holdout_d = split(d, args.test_fraction, seed)
+    train_d, holdout_d = split(d, args.test_fraction, args.seed)
     m = train_logistic(train_d, include_sensitive=args.include_sensitive, target=args.target)
     save_model(m, args.model)
 
     holdout = test_error(m, holdout_d, args.decision_threshold)
     report: dict = {
-        "meta": _meta(args, "train", d, seed=seed),
+        "meta": _meta(args, "train", d),
         "model": {
             "path": str(args.model),
             "target_column": m.target_column,
@@ -281,7 +261,7 @@ def _cmd_train(args) -> int:
         "holdout_error": {"rate": holdout.rate, "test_fraction": args.test_fraction},
     }
     if args.replicates >= 2:
-        cv = cross_validate(d, args.replicates, args.test_fraction, seed,
+        cv = cross_validate(d, args.replicates, args.test_fraction, args.seed,
                             target=args.target, include_sensitive=args.include_sensitive,
                             threshold=args.decision_threshold)
         report["cv_error"] = _fields(cv, "scheme")
@@ -320,9 +300,8 @@ def _cmd_repair(args) -> int:
     if args.plan_out:
         save_plan(plan, args.plan_out)
 
-    seed = _seed(args)
     report: dict = {
-        "meta": _meta(args, "repair", d, seed=seed),
+        "meta": _meta(args, "repair", d),
         "repair": {
             "lambda": args.lam,
             "features": features,
@@ -331,8 +310,8 @@ def _cmd_repair(args) -> int:
         },
     }
     if d.decision_column is not None:
-        di_before, err_before = _model_decision_di(d, seed, args.decision_threshold)
-        di_after, err_after = _model_decision_di(repaired, seed, args.decision_threshold)
+        di_before, err_before = _model_decision_di(d, args.seed, args.decision_threshold)
+        di_after, err_after = _model_decision_di(repaired, args.seed, args.decision_threshold)
         report["repair"]["effect"] = {
             "dataset_decision_di": disparate_impact_statistic(d),
             "model_di_before": di_before,
@@ -347,35 +326,37 @@ def _cmd_repair(args) -> int:
 def _cmd_explain(args) -> int:
     d = _load(args)
     m = load_model(args.model)
-    seed = _seed(args)
     pi = permutation_importance(m, d, threshold=args.decision_threshold,
-                                repeats=args.replicates, seed=seed)
+                                repeats=args.replicates, seed=args.seed)
     report: dict = {
-        "meta": _meta(args, "explain", d, seed=seed),
+        "meta": _meta(args, "explain", d),
         "explain": {"permutation_importance": asdict(pi)},
     }
     if args.row is not None:
         ls = local_surrogate(m, args.row, d, n_samples=args.samples,
-                             kernel_width=args.kernel_width, seed=seed)
+                             kernel_width=args.kernel_width, seed=args.seed)
         report["explain"]["local_surrogate"] = asdict(ls)
     _emit(report, args)
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
-    base = read_json(args.spec, "generator spec") if args.spec else {}
-    if not isinstance(base, dict):
-        raise DataError("generator spec must be a JSON object")
+    def spec_of(base) -> GeneratorSpec:
+        if not isinstance(base, dict):
+            raise DataError("generator spec must be a JSON object")
+        return spec_from_dict({"n": 1000, "seed": 0, **base})
+
+    # a spec file is checked on its own, so that its errors name it; flags override it
+    spec = read_json(args.spec, "generator spec", spec_of) if args.spec else spec_of({})
     flags = {"n": args.n, "seed": args.seed, "protected_fraction": args.protected_fraction,
              "group_bias": args.group_bias}
-    spec = spec_from_dict({"n": 1000, "seed": 0, **base,
-                           **{k: v for k, v in flags.items() if v is not None}})
+    spec = replace(spec, **{k: v for k, v in flags.items() if v is not None})
     if args.target_di is not None:
         spec = replace(spec, group_bias=solve_group_bias(spec, args.target_di))
     d, true_di = generate(spec)
     save_csv(d, args.data)
     if args.schema_out:
-        Path(args.schema_out).write_text(json.dumps(SCHEMA, indent=2) + "\n", encoding="utf-8")
+        write_json(SCHEMA, args.schema_out)
 
     report = {
         "meta": _meta(args, "synth", seed=spec.seed),
@@ -435,7 +416,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--test-fraction", type=_fraction, default=0.3)
     p.add_argument("--replicates", type=int, default=10, help="cross-validation replicates")
     p.add_argument("--target", choices=("auto", "decision", "outcome"), default="auto")
-    p.set_defaults(func=_cmd_train, outputs=("model", "out"))
+    p.set_defaults(func=_cmd_train, outputs=("model", "out"), seed=0)
 
     p = sub.add_parser("fliptest", help="flip-test a serialized model")
     common(p, model=True)
@@ -448,7 +429,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--repaired-out", default="repaired.csv", help="repaired CSV path (default %(default)s)")
     p.add_argument("--plan-out", help="optional path to serialize the repair plan")
-    p.set_defaults(func=_cmd_repair, outputs=("repaired_out", "plan_out", "out"))
+    p.set_defaults(func=_cmd_repair, outputs=("repaired_out", "plan_out", "out"), seed=0)
 
     p = sub.add_parser("explain", help="permutation importance and local surrogate")
     common(p, model=True)
@@ -456,7 +437,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--replicates", type=int, default=10, help="permutation repeats")
     p.add_argument("--samples", type=int, default=1000, help="surrogate perturbations")
     p.add_argument("--kernel-width", type=float, default=None)
-    p.set_defaults(func=_cmd_explain)
+    p.set_defaults(func=_cmd_explain, seed=0)
 
     p = sub.add_parser("synth", help="generate synthetic data with known disparity")
     common(p, schema=False, decision_threshold=False)

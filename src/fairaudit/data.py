@@ -280,6 +280,16 @@ def read_json(path: str | Path, what: str, parse=None):
         raise DataError(f"malformed {what} file {path}: {type(e).__name__}: {e}") from None
 
 
+def json_text(obj) -> str:
+    """``obj`` in the JSON file format: indent 2 and a final newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def write_json(obj, path: str | Path) -> None:
+    """Write ``obj`` to ``path`` as a UTF-8 JSON file (see ``json_text``)."""
+    Path(path).write_text(json_text(obj), encoding="utf-8")
+
+
 def load_csv(path: str | Path, schema: Mapping[str, object]) -> Dataset:
     """Load an RFC 4180 CSV (header row required) against a role declaration.
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .metrics import ContingencyTable, GroupConfusion, base_rates, contingency, group_confusion
+from .metrics import ContingencyTable, GroupConfusion, IntervalEstimate, base_rates, contingency, group_confusion
 from .rng import resample_block
 
 BOOTSTRAP_CHUNK_DRAWS = 1 << 16  # indices per chunk of replicates: 2**20 ran slower, with more RSS
@@ -48,25 +47,6 @@ def normal_quantile(p: float) -> float:
     r = q * q
     return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-
-
-@dataclass(frozen=True)
-class IntervalEstimate:
-    """Confidence interval for a named statistic."""
-
-    statistic: str
-    method: str  # "delta" | "bootstrap"
-    level: float
-    lo: float
-    hi: float
-    replicates: int | None = None  # bootstrap only
-    seed: int | None = None  # bootstrap only
-
-    def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
-        if self.lo > self.hi:
-            raise ValueError(f"{self.statistic}: lo {self.lo} > hi {self.hi}")
 
 
 def _log_ratio_interval(statistic: str, p1: float, p2: float, n1: int, n2: int,

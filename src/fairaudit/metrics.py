@@ -68,34 +68,34 @@ class GroupRates:
 
 @dataclass(frozen=True)
 class MetricEstimate:
-    """A named statistic with an optional confidence interval.
+    """A named point statistic; an interval around it is an ``IntervalEstimate``.
 
     ``value`` is None when the statistic is undefined on the given data
-    (zero denominator); undefined estimates carry no interval.
+    (zero denominator).
     """
 
     name: str
     value: float | None
-    lo: float | None = None
-    hi: float | None = None
-    level: float | None = None
     corrected: bool = False
 
-    def __post_init__(self):
-        has_interval = self.lo is not None or self.hi is not None
-        if has_interval:
-            if self.lo is None or self.hi is None or self.level is None:
-                raise ValueError("interval requires lo, hi and level")
-            if not 0.0 < self.level < 1.0:
-                raise ValueError(f"level must be in (0, 1), got {self.level}")
-            if self.value is None or not self.lo <= self.value <= self.hi:
-                raise ValueError(
-                    f"{self.name}: estimate {self.value} outside interval "
-                    f"({self.lo}, {self.hi})"
-                )
 
-    def with_interval(self, lo: float, hi: float, level: float) -> "MetricEstimate":
-        return MetricEstimate(self.name, self.value, lo, hi, level, self.corrected)
+@dataclass(frozen=True)
+class IntervalEstimate:
+    """Confidence interval for a named statistic."""
+
+    statistic: str
+    method: str  # "delta" | "bootstrap"
+    level: float
+    lo: float
+    hi: float
+    replicates: int | None = None  # bootstrap only
+    seed: int | None = None  # bootstrap only
+
+    def __post_init__(self):
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"level must be in (0, 1), got {self.level}")
+        if self.lo > self.hi:
+            raise ValueError(f"{self.statistic}: lo {self.lo} > hi {self.hi}")
 
 
 def contingency(d: Dataset, positive: np.ndarray | None = None) -> ContingencyTable:
@@ -163,26 +163,24 @@ def disparity_metrics(r: GroupRates) -> dict[str, MetricEstimate]:
     }
 
 
-def eighty_percent_verdict(di: MetricEstimate, threshold: float = 0.8, use_interval: bool = False) -> str:
-    """Four-fifths rule verdict: 'pass', 'fail', or (interval mode) 'inconclusive'.
+def eighty_percent_verdict(di: MetricEstimate | IntervalEstimate, threshold: float = 0.8) -> str:
+    """Four-fifths rule verdict: 'pass', 'fail' or 'inconclusive'.
 
-    Point mode fails iff the estimate is strictly below the threshold, so a
-    value exactly at the threshold passes. Interval mode fails when the whole
-    interval is below the threshold and passes when it is entirely at or above.
+    An interval fails when it lies wholly below the threshold, passes when it
+    lies wholly at or above it, and is inconclusive otherwise. A
+    ``MetricEstimate`` is judged as the interval [value, value], so a value
+    exactly at the threshold passes.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    if di.value is None:
+    lo, hi = (di.value, di.value) if isinstance(di, MetricEstimate) else (di.lo, di.hi)
+    if lo is None:
         raise DataError("verdict requires a defined disparate-impact estimate")
-    if use_interval:
-        if di.lo is None or di.hi is None:
-            raise ValueError("interval verdict requested but estimate has no interval")
-        if di.hi < threshold:
-            return "fail"
-        if di.lo >= threshold:
-            return "pass"
-        return "inconclusive"
-    return "fail" if di.value < threshold else "pass"
+    if hi < threshold:
+        return "fail"
+    if lo >= threshold:
+        return "pass"
+    return "inconclusive"
 
 
 # -- confusion matrices ----------------------------------------------------------
@@ -261,27 +259,25 @@ def confusion_gaps(pair: tuple[GroupConfusion, GroupConfusion]) -> dict[str, Met
     """
     p, q = pair
 
-    def ratio(name: str, x: float | None, y: float | None) -> MetricEstimate:
-        if x is None or y is None or y == 0:
+    def gap(name: str, rate: str) -> MetricEstimate:
+        x, y = getattr(p, rate), getattr(q, rate)
+        ratio = name.endswith("_ratio")
+        if x is None or y is None or (ratio and y == 0):
             return MetricEstimate(name, None)
-        return MetricEstimate(name, x / y)
+        return MetricEstimate(name, x / y if ratio else x - y)
 
-    def diff(name: str, x: float | None, y: float | None) -> MetricEstimate:
-        if x is None or y is None:
-            return MetricEstimate(name, None)
-        return MetricEstimate(name, x - y)
-
-    return {
-        "equal_opportunity_ratio": ratio("equal_opportunity_ratio", p.tpr, q.tpr),
-        "precision_ratio": ratio("precision_ratio", p.ppv, q.ppv),
-        "fpr_difference": diff("fpr_difference", p.fpr, q.fpr),
-        "fnr_difference": diff("fnr_difference", p.fnr, q.fnr),
-        "accuracy_difference": diff("accuracy_difference", p.accuracy, q.accuracy),
-        "equal_opportunity_difference": diff("equal_opportunity_difference", p.tpr, q.tpr),
-        "precision_difference": diff("precision_difference", p.ppv, q.ppv),
-        "fpr_ratio": ratio("fpr_ratio", p.fpr, q.fpr),
-        "fnr_ratio": ratio("fnr_ratio", p.fnr, q.fnr),
-    }
+    table = (
+        ("equal_opportunity_ratio", "tpr"),
+        ("precision_ratio", "ppv"),
+        ("fpr_difference", "fpr"),
+        ("fnr_difference", "fnr"),
+        ("accuracy_difference", "accuracy"),
+        ("equal_opportunity_difference", "tpr"),
+        ("precision_difference", "ppv"),
+        ("fpr_ratio", "fpr"),
+        ("fnr_ratio", "fnr"),
+    )
+    return {name: gap(name, rate) for name, rate in table}
 
 
 def implied_false_positive_rate(base_rate: float, ppv: float, tpr: float) -> float:

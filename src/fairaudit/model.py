@@ -12,7 +12,6 @@ on purpose for flip-test demonstrations).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CATEGORICAL, DECISION, NUMERIC, OUTCOME, SENSITIVE, ColumnRole, Dataset, read_json, split
+from .data import CATEGORICAL, DECISION, NUMERIC, OUTCOME, SENSITIVE, ColumnRole, Dataset, read_json, split, write_json
 from .errors import DataError
 from .rng import derive_seed
 
@@ -371,7 +370,8 @@ def model_from_dict(obj: dict) -> LogisticModel:
     enc_obj = obj["encoding"]
     enc = FeatureEncoding(
         source_order=tuple(enc_obj["source_order"]),
-        numeric={k: NumericSpec(**v) for k, v in enc_obj["numeric"].items()},
+        numeric={k: NumericSpec(v["name"], float(v["mean"]), float(v["sd"]))
+                 for k, v in enc_obj["numeric"].items()},
         categorical={
             k: CategoricalSpec(v["name"], tuple(v["modalities"]))
             for k, v in enc_obj["categorical"].items()
@@ -382,7 +382,11 @@ def model_from_dict(obj: dict) -> LogisticModel:
     specs = {*enc.numeric, *enc.categorical, *([enc.sensitive.name] if enc.sensitive else [])}
     if unknown := [c for c in enc.source_order if c not in specs]:
         raise DataError(f"encoding.source_order names {unknown} that have no spec")
+    if bad := [k for k, v in enc.numeric.items() if not (math.isfinite(v.mean) and 0.0 < v.sd < math.inf)]:
+        raise DataError(f"encoding.numeric {bad} need a finite mean and a finite sd > 0")
     weights = np.asarray(obj["weights"], dtype=np.float64)
+    if weights.ndim != 1:
+        raise DataError(f"weights must be a flat list of numbers, got shape {weights.shape}")
     weights.flags.writeable = False
     return LogisticModel(
         encoding=enc,
@@ -396,7 +400,7 @@ def model_from_dict(obj: dict) -> LogisticModel:
 
 
 def save_model(m: LogisticModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(m), indent=2) + "\n", encoding="utf-8")
+    write_json(model_to_dict(m), path)
 
 
 def load_model(path: str | Path) -> LogisticModel:

@@ -14,14 +14,13 @@ plotting positions (i - 0.5)/m and clamp beyond the fit-time extremes.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, read_json
+from .data import Dataset, read_json, write_json
 from .errors import DataError
 
 
@@ -208,7 +207,7 @@ def plan_from_dict(obj: dict) -> RepairPlan:
 
 
 def save_plan(plan: RepairPlan, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2) + "\n", encoding="utf-8")
+    write_json(plan_to_dict(plan), path)
 
 
 def load_plan(path: str | Path) -> RepairPlan:

@@ -27,6 +27,7 @@ from .rng import CounterRng
 PROTECTED_LABEL = "P"
 OTHER_LABEL = "N"
 _QUAD_NODES = 200
+_BIAS_LO, _BIAS_HI = -20.0, 20.0  # the group-bias range solve_group_bias searches
 
 # role declaration of every generated table, in JSON form (``synth --schema-out``)
 SCHEMA = {
@@ -53,12 +54,16 @@ class GeneratorSpec:
     outcome_offset_other: float = 0.0
 
     def __post_init__(self):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.n, self.seed)):
+            raise DataError(f"n and seed must be integers, got n={self.n!r}, seed={self.seed!r}")
+        pairs = (self.mu_protected, self.mu_other, self.decision_weights, self.outcome_weights)
+        if any(len(pair) != 2 for pair in pairs):
+            raise DataError("mu_protected, mu_other, decision_weights and outcome_weights need 2 entries each")
         if self.n < 1:
             raise DataError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.protected_fraction < 1.0:
             raise DataError(f"protected_fraction must be in (0, 1), got {self.protected_fraction}")
-        params = (*self.mu_protected, *self.mu_other, *self.decision_weights,
-                  self.decision_intercept, self.group_bias, *self.outcome_weights,
+        params = (*(x for pair in pairs for x in pair), self.decision_intercept, self.group_bias,
                   self.outcome_offset_protected, self.outcome_offset_other)
         if not all(math.isfinite(p) for p in params):
             raise DataError("generator parameters must be finite")
@@ -116,21 +121,20 @@ def true_disparate_impact(spec: GeneratorSpec) -> float:
     return rate_p / rate_n
 
 
-def solve_group_bias(spec: GeneratorSpec, target_di: float,
-                     lo: float = -20.0, hi: float = 20.0) -> float:
+def solve_group_bias(spec: GeneratorSpec, target_di: float) -> float:
     """Group-bias value whose exact disparate impact equals ``target_di``.
 
     The disparate impact is strictly increasing in the bias term, so plain
     bisection converges; the result is accurate to ~1e-12 in the bias.
     """
-    if target_di <= 0:
+    if not target_di > 0:  # NaN too: it brackets nothing, and bisection would run to the lower end
         raise DataError(f"target disparate impact must be positive, got {target_di}")
 
     def di(bias: float) -> float:
         return true_disparate_impact(replace(spec, group_bias=bias))
 
-    f_lo, f_hi = di(lo) - target_di, di(hi) - target_di
-    if f_lo > 0 or f_hi < 0:
+    lo, hi = _BIAS_LO, _BIAS_HI
+    if di(lo) > target_di or di(hi) < target_di:
         raise DataError(f"target {target_di} not bracketed by bias range [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)

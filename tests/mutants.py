@@ -33,7 +33,21 @@ KILLED, EQUIVALENT = "killed", "equivalent"
 # (name, file under src/fairaudit, old text, new text, expected status)
 MUTANTS = [
     ("verdict-lo-strict", "metrics.py",
-     "if di.lo >= threshold:", "if di.lo > threshold:", KILLED),
+     "if lo >= threshold:", "if lo > threshold:", KILLED),
+    ("gap-ratio-rule-on-differences", "metrics.py",
+     "(ratio and y == 0)", "(y == 0)", KILLED),
+    ("fields-keeps-defaults", "cli.py",
+     "if f.name not in drop and getattr(obj, f.name) != f.default}", "if f.name not in drop}", KILLED),
+    ("model-file-accepts-zero-sd", "model.py",
+     "0.0 < v.sd < math.inf", "0.0 <= v.sd < math.inf", KILLED),
+    ("model-file-accepts-nested-weights", "model.py",
+     "if weights.ndim != 1:", "if weights.ndim > 2:", KILLED),
+    ("spec-accepts-bool-n", "synth.py",
+     "isinstance(v, int) and not isinstance(v, bool)", "isinstance(v, int)", KILLED),
+    ("target-di-accepts-nan", "synth.py",
+     "if not target_di > 0:", "if target_di <= 0:", KILLED),
+    ("spec-accepts-short-pairs", "synth.py",
+     "if any(len(pair) != 2 for pair in pairs):", "if any(len(pair) > 2 for pair in pairs):", KILLED),
     ("bootstrap-failure-bound-20pct", "inference.py",
      "if failures > 0.10 * B:", "if failures > 0.20 * B:", KILLED),
     ("repair-clamp-counts-lower-edge", "repair.py",
@@ -77,8 +91,9 @@ def run_mutant(file: str, old: str, new: str) -> str:
             return "stale"
         target.write_text(text.replace(old, new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+        run = subprocess.run(  # test_mutants.py checks the unmutated texts, so it would kill every mutant
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--ignore", "tests/test_mutants.py", "tests"],
             cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         return "survived" if run.returncode == 0 else KILLED

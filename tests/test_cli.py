@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import load_csv, parse_schema
+from fairaudit import GeneratorSpec, load_csv, parse_schema
 from fairaudit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -252,6 +253,7 @@ def test_stdout_emission(table_files, capsys):
 # -- exit-code contract: malformed invocations --------------------------------------
 
 GEN = ["--data", "gen.csv", "--schema", "gen-schema.json"]
+HAND = ["--data", "hand.csv", "--schema", "hand-schema.json"]
 
 MALFORMED = [
     # (id, argv, exit code, stderr fragment)
@@ -289,6 +291,25 @@ MALFORMED = [
      2, "big.csv: line 3: field larger than field limit"),
     ("model-names-unknown-column", ["fliptest", "--data", "hand.csv", "--schema", "hand-schema.json",
                                     "--model", "bogus.json"], 2, "malformed model file bogus.json"),
+    ("model-mean-null", ["fliptest", *HAND, "--model", "mean-null.json"], 2,
+     "malformed model file mean-null.json"),
+    ("model-sd-null", ["explain", *HAND, "--model", "sd-null.json"], 2, "malformed model file sd-null.json"),
+    ("model-sd-zero", ["fliptest", *HAND, "--model", "sd-zero.json"], 2, "malformed model file sd-zero.json"),
+    ("model-sd-infinite", ["explain", *HAND, "--model", "sd-inf.json"], 2, "malformed model file sd-inf.json"),
+    ("model-nested-weights-fliptest", ["fliptest", *HAND, "--model", "nested.json"], 2,
+     "malformed model file nested.json"),
+    ("model-nested-weights-explain", ["explain", *HAND, "--model", "nested.json"], 2,
+     "malformed model file nested.json"),
+    ("spec-seed-float", ["synth", "--spec", "seed-float.json", "--data", "o.csv"], 2,
+     "malformed generator spec file seed-float.json"),
+    ("spec-seed-null", ["synth", "--spec", "seed-null.json", "--data", "o.csv"], 2,
+     "malformed generator spec file seed-null.json"),
+    ("spec-n-float", ["synth", "--spec", "n-float.json", "--data", "o.csv"], 2,
+     "malformed generator spec file n-float.json"),
+    ("spec-n-bool", ["synth", "--spec", "n-bool.json", "--data", "o.csv"], 2,
+     "malformed generator spec file n-bool.json"),
+    ("spec-short-pair", ["synth", "--spec", "short-pair.json", "--data", "o.csv"], 2,
+     "malformed generator spec file short-pair.json"),
     ("level-out-of-range", ["audit", "--data", "absent.csv", "--schema", "absent.json",
                             "--level", "1.5"], 1, "--level"),
     ("rule-threshold-out-of-range", ["audit", *GEN, "--threshold", "1.5"], 1, "(0, 1]"),
@@ -320,9 +341,22 @@ def malformed_inputs(tmp_path, monkeypatch):
                                       encoding="utf-8")
     for name in ("hand.csv", "hand-schema.json"):
         shutil.copy(GOLDEN / "inputs" / name, tmp_path / name)
-    model = json.loads((GOLDEN / "expected" / "model-hand.json").read_text(encoding="utf-8"))
-    model["encoding"]["source_order"].insert(1, "bogus")
-    (tmp_path / "bogus.json").write_text(json.dumps(model), encoding="utf-8")
+    model_edits = {
+        "bogus.json": lambda m: m["encoding"]["source_order"].insert(1, "bogus"),
+        "mean-null.json": lambda m: m["encoding"]["numeric"]["age"].update(mean=None),
+        "sd-null.json": lambda m: m["encoding"]["numeric"]["age"].update(sd=None),
+        "sd-zero.json": lambda m: m["encoding"]["numeric"]["income"].update(sd=0),
+        "sd-inf.json": lambda m: m["encoding"]["numeric"]["income"].update(sd=float("inf")),
+        "nested.json": lambda m: m.update(weights=[[w] for w in m["weights"]]),
+    }
+    for name, edit in model_edits.items():
+        model = json.loads((GOLDEN / "expected" / "model-hand.json").read_text(encoding="utf-8"))
+        edit(model)
+        (tmp_path / name).write_text(json.dumps(model), encoding="utf-8")
+    specs = {"seed-float.json": {"seed": 0.0}, "seed-null.json": {"seed": None}, "n-float.json": {"n": 1.0},
+             "n-bool.json": {"n": True}, "short-pair.json": {"mu_protected": [1.0]}}
+    for name, spec in specs.items():
+        (tmp_path / name).write_text(json.dumps(spec), encoding="utf-8")
 
 
 @pytest.mark.parametrize("argv, code, fragment",
@@ -384,18 +418,61 @@ def fuzz_inputs(draw):
     return prefix + text.getvalue().encode("utf-8"), schema
 
 
+# a valid model over two of the fuzzed columns (x numeric, c categorical) that targets the decision y
+_FUZZ_MODEL = {
+    "format": "fairaudit-model/1", "intercept": 0.1, "weights": [0.5, -0.25], "converged": True,
+    "target_column": "y", "config": {"target": "decision"},
+    "encoding": {"source_order": ["x", "c"], "numeric": {"x": {"name": "x", "mean": 0.0, "sd": 1.0}},
+                 "categorical": {"c": {"name": "c", "modalities": ["0", "1"]}}, "sensitive": None},
+}
+
+
+def _assert_exit_code_contract(argv, codes=(0, 2)):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)  # an escaping exception fails the test here
+    assert code in codes, argv
+    # an error names the program; 3 is a verdict, which the report carries
+    assert code != 2 or err.getvalue().startswith("fairaudit"), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 @settings(max_examples=80, deadline=None)
 @given(inputs=fuzz_inputs())
 def test_generated_inputs_keep_the_exit_code_contract(tmp_path_factory, inputs):
     work = tmp_path_factory.mktemp("fuzz")
     (work / "d.csv").write_bytes(inputs[0])
     (work / "s.json").write_text(json.dumps(inputs[1]), encoding="utf-8")
+    (work / "m.json").write_text(json.dumps(_FUZZ_MODEL), encoding="utf-8")
     common = ["--data", str(work / "d.csv"), "--schema", str(work / "s.json"), "--no-timestamp"]
-    for argv in (["validate", *common], ["audit", *common, "--out", str(work / "r.json")]):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)  # an escaping exception fails the test here
-        assert code in (0, 2, 3), argv
-        # an error names the program; 3 is a verdict, which the report carries
-        assert code != 2 or err.getvalue().startswith("fairaudit"), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+    model = ["--model", str(work / "m.json")]
+    _assert_exit_code_contract(["validate", *common])
+    _assert_exit_code_contract(["audit", *common, "--out", str(work / "r.json")], (0, 2, 3))
+    for argv in (["train", *common, "--model", str(work / "t.json"), "--replicates", "2"],
+                 ["fliptest", *common, *model],
+                 ["explain", *common, *model, "--replicates", "2", "--row", "0", "--samples", "20"],
+                 ["repair", *common, "--features", "x", "--repaired-out", str(work / "r.csv")]):
+        _assert_exit_code_contract(argv)
+
+
+_SPEC_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(), st.text(max_size=3),
+                         st.lists(st.one_of(st.floats(-3, 3), st.none()), max_size=3))
+
+
+@st.composite
+def fuzz_specs(draw):
+    """A generator spec object: each field valid, or of a wrong type, shape or range."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_SPEC_VALUES)  # not an object
+    valid = {f.name: f.default for f in fields(GeneratorSpec)} | {"n": 30, "seed": 5}
+    names = draw(st.lists(st.sampled_from([*valid, "bogus"]), unique=True, max_size=4))
+    return {name: draw(st.one_of(st.just(valid.get(name)), _SPEC_VALUES)) for name in names}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=fuzz_specs(), target_di=st.sampled_from([None, "0.7", "0", "1e9"]))
+def test_generated_specs_keep_the_exit_code_contract(tmp_path_factory, spec, target_di):
+    work = tmp_path_factory.mktemp("spec")
+    (work / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    argv = ["synth", "--spec", str(work / "spec.json"), "--data", str(work / "o.csv"), "--no-timestamp"]
+    _assert_exit_code_contract(argv + ([] if target_di is None else ["--target-di", target_di]))

@@ -10,6 +10,7 @@ from fairaudit import (
     Dataset,
     GroupConfusion,
     GroupRates,
+    IntervalEstimate,
     MetricEstimate,
     auc,
     base_rates,
@@ -190,21 +191,27 @@ def test_verddict_point_mode_table():
 
 
 def test_verdict_interval_mode():
-    from fairaudit import MetricEstimate
+    def interval(lo, hi):
+        return IntervalEstimate("disparate_impact", "delta", 0.95, lo, hi)
 
-    est = MetricEstimate("disparate_impact", 0.6667, lo=0.500, hi=0.890, level=0.95)
-    assert eighty_percent_verdict(est, 0.8, use_interval=True) == "inconclusive"
-    low = MetricEstimate("disparate_impact", 0.5, lo=0.4, hi=0.6, level=0.95)
-    assert eighty_percent_verdict(low, 0.8, use_interval=True) == "fail"
-    high = MetricEstimate("disparate_impact", 0.9, lo=0.85, hi=0.95, level=0.95)
-    assert eighty_percent_verdict(high, 0.8, use_interval=True) == "pass"
-    with pytest.raises(ValueError, match="no interval"):
-        eighty_percent_verdict(MetricEstimate("disparate_impact", 0.7), 0.8, use_interval=True)
+    assert eighty_percent_verdict(interval(0.500, 0.890), 0.8) == "inconclusive"
+    assert eighty_percent_verdict(interval(0.4, 0.6), 0.8) == "fail"
+    assert eighty_percent_verdict(interval(0.85, 0.95), 0.8) == "pass"
 
 
 def test_verdict_interval_lower_end_at_threshold_passes():
-    at = MetricEstimate("disparate_impact", 0.85, lo=0.8, hi=0.9, level=0.95)
-    assert eighty_percent_verdict(at, 0.8, use_interval=True) == "pass"
+    at = IntervalEstimate("disparate_impact", "delta", 0.95, 0.8, 0.9)
+    assert eighty_percent_verdict(at, 0.8) == "pass"
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
+       threshold=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)))
+def test_verdict_of_a_point_equals_the_verdict_of_its_degenerate_interval(value, threshold):
+    point = eighty_percent_verdict(MetricEstimate("disparate_impact", value), threshold)
+    degenerate = IntervalEstimate("disparate_impact", "delta", 0.95, value, value)
+    assert point == eighty_percent_verdict(degenerate, threshold)
+    assert point == ("fail" if value < threshold else "pass")
 
 
 def test_verdict_invariant_under_group_size_rescaling():
@@ -270,6 +277,15 @@ def test_confusion_gaps_undefined_marked_not_raised():
     gaps = confusion_gaps((p, q))
     assert gaps["equal_opportunity_ratio"].value is None
     assert gaps["fpr_difference"].value is not None
+
+
+def test_confusion_gaps_zero_rate_of_the_non_protected_group():
+    # FPR_N = 0: the difference is defined, the ratio divides by zero
+    p = GroupConfusion(tp=2, fp=1, tn=3, fn=2)
+    q = GroupConfusion(tp=2, fp=0, tn=4, fn=2)
+    gaps = confusion_gaps((p, q))
+    assert gaps["fpr_difference"].value == pytest.approx(0.25)
+    assert gaps["fpr_ratio"].value is None
 
 
 # -- impossibility identity --------------------------------------------------------------

@@ -141,7 +141,8 @@ def test_spec_validation():
         GeneratorSpec(n=10, seed=0, protected_fraction=1.0)
     with pytest.raises(DataError):
         GeneratorSpec(n=10, seed=0, group_bias=float("inf"))
-    with pytest.raises(DataError):
-        solve_group_bias(GeneratorSpec(n=10, seed=0), -1.0)
+    for target in (-1.0, float("nan")):
+        with pytest.raises(DataError, match="must be positive"):
+            solve_group_bias(GeneratorSpec(n=10, seed=0), target)
     with pytest.raises(DataError, match="bracket"):
         solve_group_bias(GeneratorSpec(n=10, seed=0), 1e9)
