@@ -51,6 +51,7 @@ def normal_quantile(p: float) -> float:
 
 def _log_ratio_interval(statistic: str, p1: float, p2: float, n1: int, n2: int,
                         level: float) -> IntervalEstimate:
+    IntervalEstimate.check_level(level)
     if not (0.0 < p1 and 0.0 < p2):
         raise DataError(f"degenerate rates p1={p1}, p2={p2} after correction")
     se = math.sqrt((1.0 - p1) / (n1 * p1) + (1.0 - p2) / (n2 * p2))
@@ -128,8 +129,9 @@ def bootstrap_ci(statistic: Callable[[Dataset], float], d: Dataset, B: int, seed
     from ``Dataset.take``. Replicates where the statistic raises DataError or
     is NaN are dropped with a warning, and more than 10% of them raise.
     """
-    if B < 100:
-        raise DataError(f"bootstrap requires B >= 100, got {B}")
+    IntervalEstimate.check_level(level)
+    if isinstance(B, bool) or not isinstance(B, (int, np.integer)) or B < 100:
+        raise DataError(f"bootstrap requires an integer B >= 100, got {B!r}")
     protected = d.protected_mask()
     groups = [g for g in (np.flatnonzero(protected), np.flatnonzero(~protected)) if len(g) > 0]
     sizes, counted, values = [len(g) for g in groups], [], np.empty(B)

@@ -91,9 +91,13 @@ class IntervalEstimate:
     replicates: int | None = None  # bootstrap only
     seed: int | None = None  # bootstrap only
 
+    @staticmethod
+    def check_level(level: float) -> None:
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must be in (0, 1), got {level}")
+
     def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
+        self.check_level(self.level)
         if self.lo > self.hi:
             raise ValueError(f"{self.statistic}: lo {self.lo} > hi {self.hi}")
 
@@ -307,8 +311,8 @@ def impossibility_residual(g: GroupConfusion) -> float:
 def auc(scores, outcomes) -> MetricEstimate:
     """Mann-Whitney AUC: P(score_pos > score_neg) with ties counted 1/2.
 
-    Computed from average ranks, which matches the exhaustive pair count
-    exactly (tie contributions are halves, exact in binary floating point).
+    Counted with two sorts and two binary searches; the count is an integer, so it
+    matches the exhaustive pair count exactly. Outcomes must be boolean or 0/1.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(outcomes)
@@ -316,19 +320,14 @@ def auc(scores, outcomes) -> MetricEstimate:
         raise DataError("scores and outcomes must be 1-d sequences of equal length")
     if not np.all(np.isfinite(s)):
         raise DataError("scores must be finite")
-    pos = np.asarray(y, dtype=bool)
-    n_pos = int(np.count_nonzero(pos))
-    n_neg = len(s) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    pos = y.astype(bool, copy=False)
+    if not np.array_equal(pos, y):
+        raise DataError("outcomes must be boolean or 0/1")
+    hits, neg = s[pos], s[~pos]
+    if len(hits) == 0 or len(neg) == 0:
         raise DataError("AUC requires at least one positive and one negative outcome")
-
-    order = np.argsort(s, kind="stable")
-    # runs of equal scores share their average 1-based rank; finite doubles
-    # differ by 0 exactly when they are equal (-0.0 ties 0.0)
-    start = np.flatnonzero(np.r_[True, np.diff(s[order]) != 0])
-    end = np.r_[start[1:], len(s)] - 1
-    ranks = np.empty(len(s))
-    ranks[order] = np.repeat(0.5 * ((start + 1) + (end + 1)), end - start + 1)
-    rank_sum = float(np.sum(ranks[pos]))
-    value = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    return MetricEstimate("auc", value)
+    hits.sort()
+    neg.sort()
+    # each positive counts the negatives below it twice and the tied ones once (-0.0 ties 0.0)
+    twice = int(np.searchsorted(neg, hits, "left").sum() + np.searchsorted(neg, hits, "right").sum())
+    return MetricEstimate("auc", twice / 2.0 / (len(hits) * len(neg)))

@@ -40,9 +40,12 @@ def mix64(z: int) -> int:
 
 
 def _mix_block(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U30)) * _U_M1
-    z = (z ^ (z >> _U27)) * _U_M2
-    return z ^ (z >> _U31)
+    z = z ^ (z >> _U30)  # the one copy; the other steps work in place
+    z *= _U_M1
+    z ^= z >> _U27
+    z *= _U_M2
+    z ^= z >> _U31
+    return z
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -56,9 +59,11 @@ def resample_block(seed: int, sizes: list[int], start: int, stop: int) -> np.nda
     index = np.arange(start + 1, stop + 1, dtype=np.uint64)
     seeds = _mix_block(np.uint64(seed & _MASK) ^ _mix_block(index * _U_GOLDEN))
     counters = np.arange(1, sum(sizes) + 1, dtype=np.uint64)
-    k = (_mix_block(seeds[:, None] + counters * _U_GOLDEN) >> _U11).astype(np.float64)
+    k = _mix_block(seeds[:, None] + counters * _U_GOLDEN)
+    k = np.right_shift(k, _U11, out=k).astype(np.float64)
     # k * 2**-53 and n * 2**-53 are exact, so this rounds as integers() does; the cast floors
-    return (k * np.repeat(np.asarray(sizes, dtype=np.float64) * _INV53, sizes)).astype(np.int64)
+    k *= np.repeat(np.asarray(sizes, dtype=np.float64) * _INV53, sizes)
+    return k.astype(np.int64)
 
 
 class CounterRng:

@@ -71,6 +71,12 @@ MUTANTS = [
     ("split-group-clamp-takes-whole-group", "data.py",
      "counts[i] = max(1, min(len(g) - 1, counts[i] + test_size - sum(counts)))",
      "counts[i] = max(1, min(len(g), counts[i] + test_size - sum(counts)))", KILLED),
+    ("auc-ties-count-zero", "metrics.py",
+     'np.searchsorted(neg, hits, "right")', 'np.searchsorted(neg, hits, "left")', KILLED),
+    ("auc-outcomes-unchecked", "metrics.py",
+     '    if not np.array_equal(pos, y):\n        raise DataError("outcomes must be boolean or 0/1")\n', "", KILLED),
+    ("bootstrap-level-unchecked", "inference.py",
+     "    IntervalEstimate.check_level(level)\n    if isinstance(B, bool)", "    if isinstance(B, bool)", KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

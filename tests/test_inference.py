@@ -164,6 +164,35 @@ def test_bootstrap_requires_b_at_least_100():
         bootstrap_ci(disparate_impact_statistic, binary_dataset(5, 5, 5, 5), B=50, seed=0)
 
 
+@pytest.mark.parametrize("B", [100.5, 200.0, True, "200", None])
+def test_bootstrap_refuses_b_that_is_not_an_int(B):
+    with pytest.raises(DataError, match="integer B >= 100"):
+        bootstrap_ci(disparate_impact_statistic, binary_dataset(5, 5, 5, 5), B=B, seed=0)
+
+
+def test_bootstrap_accepts_a_numpy_integer_b():
+    d = binary_dataset(40, 60, 60, 40)
+    assert bootstrap_ci(disparate_impact_statistic, d, B=np.int64(300), seed=1) == \
+        bootstrap_ci(disparate_impact_statistic, d, B=300, seed=1)
+
+
+@pytest.mark.parametrize("level", [2.0, 1.0, 0.0, -0.5, float("nan")])
+def test_interval_routes_check_level_before_any_work(level):
+    calls = []
+
+    def counted(d):
+        calls.append(1)
+        return disparate_impact_statistic(d)
+
+    with pytest.raises(ValueError, match=r"level must be in \(0, 1\), got"):
+        bootstrap_ci(counted, binary_dataset(40, 60, 60, 40), B=200, seed=0, level=level)
+    assert calls == []
+    with pytest.raises(ValueError, match=r"level must be in \(0, 1\), got"):
+        di_ci_delta(ContingencyTable(40, 60, 60, 40), level)
+    with pytest.raises(ValueError, match=r"level must be in \(0, 1\), got"):
+        eo_ci_delta((GroupConfusion(30, 10, 10, 30), GroupConfusion(48, 10, 10, 12)), level)
+
+
 def test_bootstrap_reports_failure_fraction():
     d = binary_dataset(10, 10, 10, 10)
 

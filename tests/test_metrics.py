@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairaudit import (
@@ -336,6 +336,35 @@ def auc_pair_count(scores, outcomes):
     return total / (len(pos) * len(neg))
 
 
+def auc_rank_reference(scores, outcomes):
+    """Reference: the Mann-Whitney U from average ranks, tie runs sharing their mean rank."""
+    s = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(outcomes, dtype=bool)
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = len(s) - n_pos
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # -0.0 ties 0.0
+    end = np.r_[start[1:], len(s)] - 1
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(0.5 * ((start + 1) + (end + 1)), end - start + 1)
+    rank_sum = float(np.sum(ranks[pos]))
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def auc_value_pair_count(scores, outcomes):
+    """Pair count over distinct score values, each pair weighted by its multiplicities."""
+    values, inverse = np.unique(np.asarray(scores, dtype=np.float64), return_inverse=True)
+    pos = np.asarray(outcomes, dtype=bool)
+    n_pos = np.bincount(inverse[pos], minlength=len(values)).tolist()
+    n_neg = np.bincount(inverse[~pos], minlength=len(values)).tolist()
+    twice = below = 0
+    for p, q in zip(n_pos, n_neg):  # ascending values: p positives beat the `below` negatives, tie q
+        twice += p * (2 * below + q)
+        below += q
+    return twice / 2.0 / (sum(n_pos) * sum(n_neg))
+
+
 def test_auc_worked_example():
     assert auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]).value == pytest.approx(0.75)
 
@@ -373,3 +402,38 @@ def test_auc_equals_pair_count_on_heavy_ties(pairs):
 def test_auc_single_class_errors():
     with pytest.raises(DataError):
         auc([0.1, 0.2], [1, 1])
+
+
+# each example draws its scores either from the heavy ties above or from all finite doubles
+@settings(max_examples=600, deadline=None)
+@given(pairs=st.sampled_from([st.sampled_from(TIED_SCORES), st.floats(allow_nan=False, allow_infinity=False)])
+       .flatmap(lambda score: st.lists(st.tuples(score, st.booleans()), min_size=2, max_size=200)))
+@example(pairs=[(-1.7976931348623157e308, True), (1.7976931348623157e308, False), (-0.0, True), (0.0, False)])
+def test_auc_equals_rank_reference_bit_for_bit(pairs):
+    scores, outcomes = map(list, zip(*pairs))
+    assume(any(outcomes) and not all(outcomes))
+    assert auc(scores, outcomes).value == auc_rank_reference(scores, outcomes)
+
+
+def test_auc_on_many_rounded_scores_matches_both_references():
+    rng = CounterRng(9)
+    n = 200_000
+    outcomes = rng.uniforms(n) < 0.3
+    scores = np.round(rng.normals(n) + 0.8 * outcomes, 3)  # about 10^4 distinct values
+    value = auc(scores, outcomes).value
+    assert value == auc_rank_reference(scores, outcomes)
+    assert value == auc_value_pair_count(scores, outcomes)
+    assert 0.6 < value < 0.8
+
+
+@pytest.mark.parametrize("outcomes", [[0, 2, 1], [0, -1, 1], [0, float("nan"), 1], ["0", "1", "1"],
+                                      [0.0, 0.5, 1.0]])
+def test_auc_refuses_outcomes_that_are_not_boolean_or_01(outcomes):
+    with pytest.raises(DataError, match="outcomes must be boolean or 0/1"):
+        auc([0.1, 0.2, 0.3], outcomes)
+
+
+@pytest.mark.parametrize("outcomes", [[False, True, True], [0, 1, 1], np.array([0.0, 1.0, 1.0]),
+                                      np.array([False, True, True])])
+def test_auc_accepts_boolean_and_01_outcomes(outcomes):
+    assert auc([0.1, 0.2, 0.3], outcomes).value == 1.0
