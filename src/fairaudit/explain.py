@@ -117,11 +117,13 @@ def local_surrogate(m: LogisticModel, row: int, d: Dataset, n_samples: int = 100
     dist_sq = np.sum(offsets**2, axis=1)
     w = np.exp(-dist_sq / kernel_width**2)
 
-    raw = z * sds + means
-    A = np.column_stack([np.ones(n_samples), raw])
-    Aw = A * w[:, None]
-    lhs = Aw.T @ A
-    rhs = Aw.T @ scores
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite system is refused below
+        A = np.column_stack([np.ones(n_samples), z * sds + means])
+        Aw = A * w[:, None]
+        lhs = Aw.T @ A
+        rhs = Aw.T @ scores
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+        raise DataError(f"local surrogate of row {row}: normal equations are not finite")
     try:
         beta = np.linalg.solve(lhs, rhs)
         if not np.all(np.isfinite(beta)):
@@ -129,6 +131,8 @@ def local_surrogate(m: LogisticModel, row: int, d: Dataset, n_samples: int = 100
     except np.linalg.LinAlgError:
         warnings.warn("singular normal equations; applying ridge 1e-8")
         beta = np.linalg.solve(lhs + 1e-8 * np.eye(len(lhs)), rhs)
+        if not np.all(np.isfinite(beta)):
+            raise DataError(f"local surrogate of row {row}: ridge solution is not finite") from None
 
     fitted = A @ beta
     w_mean = float(np.sum(w * scores) / np.sum(w))

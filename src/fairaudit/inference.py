@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError
 from .metrics import ContingencyTable, GroupConfusion, IntervalEstimate, base_rates, contingency, group_confusion
-from .rng import resample_block
+from .rng import resample_blocks
 
 BOOTSTRAP_CHUNK_DRAWS = 1 << 16  # indices per chunk of replicates: 2**20 ran slower, with more RSS
 
@@ -98,23 +98,26 @@ def equal_opportunity_statistic(d: Dataset) -> float:
     return p.tpr / q.tpr
 
 
-def _di_from_counts(a, c, n1, n2):
+def _di_from_counts(sums, n1, n2):
+    a, c = sums.T
     zero = (a == 0) | (c == 0)
     return np.where(zero, (a + 0.5) / (n1 + 1), a / n1) / np.where(zero, (c + 0.5) / (n2 + 1), c / n2)
 
 
-def _eo_from_counts(tp1, m1, tp2, m2, n1, n2):
+def _eo_from_counts(sums, n1, n2):
+    (tp1, tp2), (m1, m2) = (sums & 0xFFFFFFFF).T, (sums >> 32).T
     return np.where((m1 == 0) | (tp2 == 0), np.nan, (tp1 / m1) / (tp2 / m2))
 
 
-def _count_form(statistic: Callable[[Dataset], float], d: Dataset):
-    """(masks, form) of a built-in statistic: its value is ``form`` of the count of
-    each mask in group 1, then in group 2, and of n1, n2; NaN where undefined."""
+def _count_form(statistic: Callable[[Dataset], float], d: Dataset, order: np.ndarray):
+    """(table, form) of a built-in statistic: its value is ``form`` of the sums of ``table`` (one entry per
+    row of ``order``) over each group, and of n1, n2; NaN where undefined. EO packs two bits in an entry."""
     if statistic is disparate_impact_statistic:
-        return [d.positive_decision_mask()], _di_from_counts
+        return d.positive_decision_mask()[order].astype(np.int64), _di_from_counts
     if statistic is equal_opportunity_statistic:
-        return [d.positive_decision_mask() & (outcome := d.positive_outcome_mask()), outcome], _eo_from_counts
-    return [], None
+        outcome = d.positive_outcome_mask()[order].astype(np.int64)
+        return (d.positive_decision_mask()[order] & outcome) + (outcome << 32), _eo_from_counts
+    return None, None
 
 
 def bootstrap_ci(statistic: Callable[[Dataset], float], d: Dataset, B: int, seed: int,
@@ -134,20 +137,16 @@ def bootstrap_ci(statistic: Callable[[Dataset], float], d: Dataset, B: int, seed
         raise DataError(f"bootstrap requires an integer B >= 100, got {B!r}")
     protected = d.protected_mask()
     groups = [g for g in (np.flatnonzero(protected), np.flatnonzero(~protected)) if len(g) > 0]
-    sizes, counted, values = [len(g) for g in groups], [], np.empty(B)
+    order, sizes, values, form = np.concatenate(groups), [len(g) for g in groups], np.empty(B), None
     with contextlib.suppress(DataError):  # a missing column: each resample fails below
-        masks, form = _count_form(statistic, d) if len(groups) == 2 else ([], None)
-        counted = [(mask[g], k) for k, g in enumerate(groups) for mask in masks]
-    step = max(1, BOOTSTRAP_CHUNK_DRAWS // d.n)
-    for start in range(0, B, step):
-        stop = min(B, start + step)
-        cols = np.split(resample_block(seed, sizes, start, stop), np.cumsum(sizes)[:-1], axis=1)
-        if counted:
-            counts = [np.count_nonzero(mask.take(cols[k]), axis=1) for mask, k in counted]
+        table, form = _count_form(statistic, d, order) if len(groups) == 2 else (None, None)
+    for start, block in resample_blocks(seed, sizes, B, max(1, BOOTSTRAP_CHUNK_DRAWS // d.n)):
+        if form is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
-                values[start:stop] = form(*counts, *sizes)
+                sums = np.add.reduceat(table.take(block), [0, sizes[0]], axis=1)
+                values[start:start + len(block)] = form(sums, *sizes)
             continue
-        for i, row in enumerate(np.concatenate([g[c] for g, c in zip(groups, cols)], axis=1), start):
+        for i, row in enumerate(order.take(block), start):
             try:
                 values[i] = statistic(d.take(row))
             except DataError:

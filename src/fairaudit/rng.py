@@ -39,12 +39,14 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
-def _mix_block(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> _U30)  # the one copy; the other steps work in place
+def _mix_block(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer of every element of ``z``, in place; ``tmp`` is scratch of z's shape."""
+    tmp = np.empty_like(z) if tmp is None else tmp
+    z ^= np.right_shift(z, _U30, out=tmp)
     z *= _U_M1
-    z ^= z >> _U27
+    z ^= np.right_shift(z, _U27, out=tmp)
     z *= _U_M2
-    z ^= z >> _U31
+    z ^= np.right_shift(z, _U31, out=tmp)
     return z
 
 
@@ -53,17 +55,23 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64((seed & _MASK) ^ mix64(((index + 1) * GOLDEN) & _MASK))
 
 
-def resample_block(seed: int, sizes: list[int], start: int, stop: int) -> np.ndarray:
-    """Within-group resample indices of replicates ``start`` to ``stop - 1``: row i is
-    ``CounterRng(derive_seed(seed, start + i)).integers(n, n)`` for each n in ``sizes``, joined."""
-    index = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    seeds = _mix_block(np.uint64(seed & _MASK) ^ _mix_block(index * _U_GOLDEN))
-    counters = np.arange(1, sum(sizes) + 1, dtype=np.uint64)
-    k = _mix_block(seeds[:, None] + counters * _U_GOLDEN)
-    k = np.right_shift(k, _U11, out=k).astype(np.float64)
+def resample_blocks(seed: int, sizes: list[int], B: int, step: int):
+    """Within-group resample indices of replicates 0 to B - 1, ``step`` at a time: yields (start, block),
+    where row i of ``block`` is ``CounterRng(derive_seed(seed, start + i)).integers(n, n)`` plus the sizes
+    before n, for each n in ``sizes``, joined. The next chunk overwrites ``block``."""
+    seeds = _mix_block(np.uint64(seed & _MASK) ^ _mix_block(np.arange(1, B + 1, dtype=np.uint64) * _U_GOLDEN))
+    steps = np.arange(1, sum(sizes) + 1, dtype=np.uint64) * _U_GOLDEN
     # k * 2**-53 and n * 2**-53 are exact, so this rounds as integers() does; the cast floors
-    k *= np.repeat(np.asarray(sizes, dtype=np.float64) * _INV53, sizes)
-    return k.astype(np.int64)
+    scale = np.repeat(np.asarray(sizes, dtype=np.float64) * _INV53, sizes)
+    offsets = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+    k, x = np.empty((step, len(steps)), dtype=np.uint64), np.empty((step, len(steps)))  # the two buffers
+    for start in range(0, B, step):
+        z, f = k[:B - start], x[:B - start]
+        _mix_block(np.add(seeds[start:start + step, None], steps, out=z), f.view(np.uint64))
+        np.copyto(f, np.right_shift(z, _U11, out=z), casting="unsafe")
+        np.copyto(block := z.view(np.int64), np.multiply(f, scale, out=f), casting="unsafe")
+        block += offsets
+        yield start, block
 
 
 class CounterRng:

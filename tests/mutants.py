@@ -77,6 +77,19 @@ MUTANTS = [
      '    if not np.array_equal(pos, y):\n        raise DataError("outcomes must be boolean or 0/1")\n', "", KILLED),
     ("bootstrap-level-unchecked", "inference.py",
      "    IntervalEstimate.check_level(level)\n    if isinstance(B, bool)", "    if isinstance(B, bool)", KILLED),
+    ("eo-pack-shift-31", "inference.py",
+     "+ (outcome << 32)", "+ (outcome << 31)", KILLED),
+    ("eo-unpack-mask-33-bits", "inference.py",
+     "(sums & 0xFFFFFFFF)", "(sums & 0x1FFFFFFFF)", KILLED),
+    ("bootstrap-group-cut-off-by-one", "inference.py",
+     "[0, sizes[0]], axis=1)", "[0, sizes[0] - 1], axis=1)", KILLED),
+    ("resample-offsets-dropped", "rng.py",
+     "        block += offsets\n", "", KILLED),
+    ("surrogate-overflow-unchecked", "explain.py",
+     "if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):", "if False:", KILLED),
+    ("surrogate-ridge-solution-unchecked", "explain.py",
+     "        if not np.all(np.isfinite(beta)):\n            raise DataError",
+     "        if False:\n            raise DataError", KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

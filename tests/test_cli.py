@@ -296,6 +296,8 @@ MALFORMED = [
     ("model-sd-null", ["explain", *HAND, "--model", "sd-null.json"], 2, "malformed model file sd-null.json"),
     ("model-sd-zero", ["fliptest", *HAND, "--model", "sd-zero.json"], 2, "malformed model file sd-zero.json"),
     ("model-sd-infinite", ["explain", *HAND, "--model", "sd-inf.json"], 2, "malformed model file sd-inf.json"),
+    ("model-mean-huge", ["explain", *HAND, "--model", "mean-huge.json", "--row", "0"], 2,
+     "local surrogate of row 0: normal equations are not finite"),
     ("model-nested-weights-fliptest", ["fliptest", *HAND, "--model", "nested.json"], 2,
      "malformed model file nested.json"),
     ("model-nested-weights-explain", ["explain", *HAND, "--model", "nested.json"], 2,
@@ -347,6 +349,8 @@ def malformed_inputs(tmp_path, monkeypatch):
         "sd-null.json": lambda m: m["encoding"]["numeric"]["age"].update(sd=None),
         "sd-zero.json": lambda m: m["encoding"]["numeric"]["income"].update(sd=0),
         "sd-inf.json": lambda m: m["encoding"]["numeric"]["income"].update(sd=float("inf")),
+        # finite, so the file loads, but the surrogate's raw-unit squares overflow
+        "mean-huge.json": lambda m: m["encoding"]["numeric"]["age"].update(mean=1e300, sd=1e300),
         "nested.json": lambda m: m.update(weights=[[w] for w in m["weights"]]),
     }
     for name, edit in model_edits.items():

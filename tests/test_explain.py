@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -178,3 +179,16 @@ def test_surrogate_sign_matches_model_weight_sign():
         ls = local_surrogate(m, int(row), d, n_samples=300, seed=1)
         assert ls.coefficients["x"] > 0
         assert ls.coefficients["z"] < 0
+
+
+def test_surrogate_refuses_a_non_finite_fit(monkeypatch):
+    d = two_feature_dataset(n=120, seed=8)
+    m = linear_hand_model(d, [1.0, -0.5])
+    huge = {**m.encoding.numeric, "x": NumericSpec("x", 1e300, 1e300)}  # finite, but raw-unit squares overflow
+    m_huge = dataclasses.replace(m, encoding=dataclasses.replace(m.encoding, numeric=huge))
+    with pytest.raises(DataError, match="row 5: normal equations are not finite"):
+        local_surrogate(m_huge, 5, d, n_samples=200, seed=3)
+    monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs: np.full(len(rhs), np.nan))
+    with pytest.warns(UserWarning, match="singular"), \
+            pytest.raises(DataError, match="row 5: ridge solution is not finite"):
+        local_surrogate(m, 5, d, n_samples=200, seed=3)

@@ -404,11 +404,19 @@ def test_auc_single_class_errors():
         auc([0.1, 0.2], [1, 1])
 
 
-# each example draws its scores either from the heavy ties above or from all finite doubles
+# a pool of at most 5 scores with both signed zeros: long tie runs, often a single distinct
+# positive score, sometimes all scores tied
+SCORE_POOLS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3).map(lambda v: [-0.0, 0.0, *v])
+
+
+# each example draws its scores from the heavy ties above, from all finite doubles or from a small pool
 @settings(max_examples=600, deadline=None)
-@given(pairs=st.sampled_from([st.sampled_from(TIED_SCORES), st.floats(allow_nan=False, allow_infinity=False)])
+@given(pairs=st.one_of(st.just(st.sampled_from(TIED_SCORES)), st.just(st.floats(allow_nan=False, allow_infinity=False)),
+                       SCORE_POOLS.map(st.sampled_from))
        .flatmap(lambda score: st.lists(st.tuples(score, st.booleans()), min_size=2, max_size=200)))
 @example(pairs=[(-1.7976931348623157e308, True), (1.7976931348623157e308, False), (-0.0, True), (0.0, False)])
+@example(pairs=[(0.0, True), (-0.0, False), (-0.0, True), (0.0, False), (0.0, False)])  # all tied
+@example(pairs=[(0.5, True), (0.5, True), (0.5, True), (-0.0, False), (0.5, False), (1.0, False)])
 def test_auc_equals_rank_reference_bit_for_bit(pairs):
     scores, outcomes = map(list, zip(*pairs))
     assume(any(outcomes) and not all(outcomes))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit.rng import CounterRng, derive_seed, mix64, resample_block
+from fairaudit.rng import CounterRng, derive_seed, mix64, resample_blocks
 
 # Reference stream for seed 42, also documented in the README. Any change to
 # these values breaks reproducibility of every seeded artifact.
@@ -84,11 +84,25 @@ def test_mix64_masks_to_64_bits():
     assert 0 <= mix64((1 << 70) + 5) < (1 << 64)
 
 
+def resample_block(seed, sizes, start, stop, step):
+    """Rows ``start`` to ``stop - 1`` of ``resample_blocks(seed, sizes, stop, step)``, less each group's offset.
+
+    Every chunk's start, shape and dtype are checked; only the rows from ``start`` on are kept."""
+    starts, kept = [], []
+    for s, block in resample_blocks(seed, sizes, stop, step):
+        starts.append(s)
+        assert block.dtype == np.int64 and block.shape == (min(step, stop - s), sum(sizes))
+        if s + len(block) > start:
+            kept.append(block[max(0, start - s):].copy())
+    assert starts == list(range(0, stop, step))
+    return np.concatenate(kept) - np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(-(1 << 63), (1 << 64) - 1), sizes=st.lists(st.integers(0, 40), min_size=1, max_size=3),
-       start=st.integers(0, 5000), rows=st.integers(1, 7))
-def test_resample_block_rows_are_per_replicate_streams(seed, sizes, start, rows):
-    block = resample_block(seed, sizes, start, start + rows)
+       start=st.integers(0, 5000), rows=st.integers(1, 7), step=st.integers(1, 9))
+def test_resample_block_rows_are_per_replicate_streams(seed, sizes, start, rows, step):
+    block = resample_block(seed, sizes, start, start + rows, step)
     assert block.shape == (rows, sum(sizes)) and block.dtype == np.int64
     for i, row in enumerate(block):
         rng = CounterRng(derive_seed(seed, start + i))
@@ -98,7 +112,7 @@ def test_resample_block_rows_are_per_replicate_streams(seed, sizes, start, rows)
 
 def test_resample_block_matches_integers_at_a_large_group_size():
     sizes = [1_000_003, 7]
-    block = resample_block(11, sizes, 41, 43)
+    block = resample_block(11, sizes, 41, 43, 1)
     for i, row in enumerate(block):
         rng = CounterRng(derive_seed(11, 41 + i))
         assert np.array_equal(row, np.concatenate([rng.integers(n, n) for n in sizes]))
