@@ -9,7 +9,6 @@ construction and meaningless globally, which is the point.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +94,7 @@ def local_surrogate(m: LogisticModel, row: int, d: Dataset, n_samples: int = 100
         raise DataError(f"need n_samples >= {10 * len(numeric)}, got {n_samples}")
     if kernel_width is None:
         kernel_width = 0.75 * np.sqrt(len(numeric))
-    if kernel_width <= 0:
+    if not kernel_width > 0:
         raise DataError(f"kernel width must be positive, got {kernel_width}")
 
     # base encoded row (imputation and dummies included), and where the
@@ -110,29 +109,24 @@ def local_surrogate(m: LogisticModel, row: int, d: Dataset, n_samples: int = 100
     offsets = rng.normals(n_samples * len(numeric)).reshape(n_samples, len(numeric))
 
     X_enc = np.tile(base, (n_samples, 1))
-    z = base[positions] + offsets  # standardized perturbed numerics
-    X_enc[:, positions] = z
+    X_enc[:, positions] = base[positions] + offsets  # standardized perturbed numerics
     scores = score_matrix(m, X_enc)
 
     dist_sq = np.sum(offsets**2, axis=1)
     w = np.exp(-dist_sq / kernel_width**2)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite system is refused below
-        A = np.column_stack([np.ones(n_samples), z * sds + means])
-        Aw = A * w[:, None]
-        lhs = Aw.T @ A
-        rhs = Aw.T @ scores
-    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
-        raise DataError(f"local surrogate of row {row}: normal equations are not finite")
-    try:
-        beta = np.linalg.solve(lhs, rhs)
-        if not np.all(np.isfinite(beta)):
-            raise np.linalg.LinAlgError("non-finite solution")
-    except np.linalg.LinAlgError:
-        warnings.warn("singular normal equations; applying ridge 1e-8")
-        beta = np.linalg.solve(lhs + 1e-8 * np.eye(len(lhs)), rhs)
-        if not np.all(np.isfinite(beta)):
-            raise DataError(f"local surrogate of row {row}: ridge solution is not finite") from None
+    # LIME's fit: scores on the standardized offsets, which are N(0, 1) and
+    # well conditioned whatever the model's means and sds; then raw units
+    A = np.column_stack([np.ones(n_samples), offsets])
+    root_w = np.sqrt(w)
+    beta, _, rank, _ = np.linalg.lstsq(A * root_w[:, None], scores * root_w, rcond=None)
+    if rank < A.shape[1]:
+        raise DataError(f"local surrogate of row {row}: kernel width {kernel_width} "
+                        f"gives a rank-deficient fit (rank {rank} of {A.shape[1]})")
+    slopes = beta[1:] / sds
+    intercept = beta[0] - slopes @ (base[positions] * sds + means)
+    if not np.all(np.isfinite(np.append(slopes, intercept))):
+        raise DataError(f"local surrogate of row {row}: raw-unit coefficients are not finite")
 
     fitted = A @ beta
     w_mean = float(np.sum(w * scores) / np.sum(w))
@@ -142,8 +136,8 @@ def local_surrogate(m: LogisticModel, row: int, d: Dataset, n_samples: int = 100
 
     return LocalSurrogate(
         row=row,
-        intercept=float(beta[0]),
-        coefficients={name: float(b) for name, b in zip(numeric, beta[1:])},
+        intercept=float(intercept),
+        coefficients={name: float(b) for name, b in zip(numeric, slopes)},
         kernel_width=float(kernel_width),
         n_samples=n_samples,
         seed=seed,

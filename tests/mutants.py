@@ -85,11 +85,14 @@ MUTANTS = [
      "[0, sizes[0]], axis=1)", "[0, sizes[0] - 1], axis=1)", KILLED),
     ("resample-offsets-dropped", "rng.py",
      "        block += offsets\n", "", KILLED),
-    ("surrogate-overflow-unchecked", "explain.py",
-     "if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):", "if False:", KILLED),
-    ("surrogate-ridge-solution-unchecked", "explain.py",
-     "        if not np.all(np.isfinite(beta)):\n            raise DataError",
-     "        if False:\n            raise DataError", KILLED),
+    ("surrogate-slope-unscaled", "explain.py",
+     "slopes = beta[1:] / sds", "slopes = beta[1:]", KILLED),
+    ("surrogate-intercept-not-moved", "explain.py",
+     "intercept = beta[0] - slopes @ (base[positions] * sds + means)", "intercept = beta[0]", KILLED),
+    ("surrogate-rank-check-dropped", "explain.py",
+     "if rank < A.shape[1]:", "if False:", KILLED),
+    ("surrogate-raw-finiteness-dropped", "explain.py",
+     "if not np.all(np.isfinite(np.append(slopes, intercept))):", "if False:", KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

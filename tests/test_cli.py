@@ -296,8 +296,10 @@ MALFORMED = [
     ("model-sd-null", ["explain", *HAND, "--model", "sd-null.json"], 2, "malformed model file sd-null.json"),
     ("model-sd-zero", ["fliptest", *HAND, "--model", "sd-zero.json"], 2, "malformed model file sd-zero.json"),
     ("model-sd-infinite", ["explain", *HAND, "--model", "sd-inf.json"], 2, "malformed model file sd-inf.json"),
-    ("model-mean-huge", ["explain", *HAND, "--model", "mean-huge.json", "--row", "0"], 2,
-     "local surrogate of row 0: normal equations are not finite"),
+    ("model-sd-subnormal", ["explain", *HAND, "--model", "sd-subnormal.json", "--row", "0"], 2,
+     "local surrogate of row 0: raw-unit coefficients are not finite"),
+    ("explain-kernel-width-nan", ["explain", *HAND, "--model", "model-hand.json", "--row", "0",
+                                  "--kernel-width", "nan"], 2, "kernel width must be positive, got nan"),
     ("model-nested-weights-fliptest", ["fliptest", *HAND, "--model", "nested.json"], 2,
      "malformed model file nested.json"),
     ("model-nested-weights-explain", ["explain", *HAND, "--model", "nested.json"], 2,
@@ -343,14 +345,15 @@ def malformed_inputs(tmp_path, monkeypatch):
                                       encoding="utf-8")
     for name in ("hand.csv", "hand-schema.json"):
         shutil.copy(GOLDEN / "inputs" / name, tmp_path / name)
+    shutil.copy(GOLDEN / "expected" / "model-hand.json", tmp_path / "model-hand.json")
     model_edits = {
         "bogus.json": lambda m: m["encoding"]["source_order"].insert(1, "bogus"),
         "mean-null.json": lambda m: m["encoding"]["numeric"]["age"].update(mean=None),
         "sd-null.json": lambda m: m["encoding"]["numeric"]["age"].update(sd=None),
         "sd-zero.json": lambda m: m["encoding"]["numeric"]["income"].update(sd=0),
         "sd-inf.json": lambda m: m["encoding"]["numeric"]["income"].update(sd=float("inf")),
-        # finite, so the file loads, but the surrogate's raw-unit squares overflow
-        "mean-huge.json": lambda m: m["encoding"]["numeric"]["age"].update(mean=1e300, sd=1e300),
+        # positive and finite, so the file loads, but the surrogate is not finite in raw units
+        "sd-subnormal.json": lambda m: m["encoding"]["numeric"]["age"].update(sd=5e-324),
         "nested.json": lambda m: m.update(weights=[[w] for w in m["weights"]]),
     }
     for name, edit in model_edits.items():

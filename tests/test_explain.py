@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import (
     ColumnRole, DataError, Dataset, local_surrogate, permutation_importance, predict_score, train_logistic,
@@ -162,10 +164,12 @@ def test_surrogate_deterministic_and_validated():
     a = local_surrogate(m, 5, d, n_samples=200, seed=3)
     b = local_surrogate(m, 5, d, n_samples=200, seed=3)
     assert a == b
-    with pytest.raises(DataError, match="n_samples"):
-        local_surrogate(m, 5, d, n_samples=10, seed=3)
-    with pytest.raises(DataError, match="kernel"):
-        local_surrogate(m, 5, d, n_samples=200, kernel_width=0.0, seed=3)
+    local_surrogate(m, 5, d, n_samples=20, seed=3)  # exactly 10 samples per feature
+    with pytest.raises(DataError, match="need n_samples >= 20, got 19"):
+        local_surrogate(m, 5, d, n_samples=19, seed=3)
+    for width in (0.0, float("nan")):
+        with pytest.raises(DataError, match="kernel width must be positive"):
+            local_surrogate(m, 5, d, n_samples=200, kernel_width=width, seed=3)
     with pytest.raises(DataError, match="row"):
         local_surrogate(m, d.n, d, n_samples=200, seed=3)
 
@@ -181,14 +185,51 @@ def test_surrogate_sign_matches_model_weight_sign():
         assert ls.coefficients["z"] < 0
 
 
-def test_surrogate_refuses_a_non_finite_fit(monkeypatch):
+def with_numeric_spec(m, name, mean, sd):
+    """``m`` with feature ``name`` standardized by ``mean`` and ``sd``."""
+    numeric = {**m.encoding.numeric, name: NumericSpec(name, mean, sd)}
+    return dataclasses.replace(m, encoding=dataclasses.replace(m.encoding, numeric=numeric))
+
+
+def test_surrogate_fits_a_model_whose_mean_and_sd_are_huge():
+    d = two_feature_dataset(n=120, seed=8)
+    m = with_numeric_spec(linear_hand_model(d, [1.0, -0.5]), "x", 1e300, 1e300)
+    ls = local_surrogate(m, 5, d, n_samples=200, seed=3)
+    assert np.all(np.isfinite([ls.intercept, *ls.coefficients.values()]))
+    assert ls.r_squared > 0.9
+
+
+def test_surrogate_refuses_a_rank_deficient_kernel():
     d = two_feature_dataset(n=120, seed=8)
     m = linear_hand_model(d, [1.0, -0.5])
-    huge = {**m.encoding.numeric, "x": NumericSpec("x", 1e300, 1e300)}  # finite, but raw-unit squares overflow
-    m_huge = dataclasses.replace(m, encoding=dataclasses.replace(m.encoding, numeric=huge))
-    with pytest.raises(DataError, match="row 5: normal equations are not finite"):
-        local_surrogate(m_huge, 5, d, n_samples=200, seed=3)
-    monkeypatch.setattr(np.linalg, "solve", lambda lhs, rhs: np.full(len(rhs), np.nan))
-    with pytest.warns(UserWarning, match="singular"), \
-            pytest.raises(DataError, match="row 5: ridge solution is not finite"):
-        local_surrogate(m, 5, d, n_samples=200, seed=3)
+    with pytest.raises(DataError, match="row 5: kernel width 0.02 gives a rank-deficient fit"):
+        local_surrogate(m, 5, d, n_samples=200, kernel_width=0.02, seed=3)
+
+
+def test_surrogate_refuses_non_finite_raw_coefficients():
+    d = two_feature_dataset(n=120, seed=8)
+    m = linear_hand_model(d, [1.0, -0.5])
+    tiny = with_numeric_spec(m, "x", m.encoding.numeric["x"].mean, 5e-324)  # load_model accepts it
+    with np.errstate(over="ignore"), \
+            pytest.raises(DataError, match="row 5: raw-unit coefficients are not finite"):
+        local_surrogate(tiny, 5, d, n_samples=200, seed=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["x", "z"]), c=st.floats(1e-3, 1e3), row=st.integers(0, 119))
+def test_surrogate_is_affine_equivariant(name, c, row):
+    """Scaling one feature's data, model mean and model sd by c divides its coefficient by c.
+
+    The standardized design is the same up to rounding, so nothing else moves.
+    """
+    d = two_feature_dataset(n=120, seed=8)
+    m = linear_hand_model(d, [1.0, -0.5])
+    spec = m.encoding.numeric[name]
+    scaled = local_surrogate(with_numeric_spec(m, name, c * spec.mean, c * spec.sd), row,
+                             d.with_values(name, c * d.values(name)), n_samples=200, seed=3)
+    ls = local_surrogate(m, row, d, n_samples=200, seed=3)
+    other = "z" if name == "x" else "x"
+    assert scaled.coefficients[name] * c == pytest.approx(ls.coefficients[name], rel=1e-12)
+    assert scaled.coefficients[other] == pytest.approx(ls.coefficients[other], rel=1e-12)
+    assert scaled.intercept == pytest.approx(ls.intercept, rel=1e-12)
+    assert scaled.r_squared == pytest.approx(ls.r_squared, rel=1e-12)
