@@ -135,12 +135,10 @@ def _emit(report: dict, args) -> None:
         md_path.write_text(render_markdown(report), encoding="utf-8")
 
 
-def _meta(args, subcommand: str, d: Dataset | None = None, seed: int | None = None) -> dict:
-    meta = {"tool": "fairaudit", "version": __version__, "subcommand": subcommand}
-    if seed is None:
-        seed = args.seed
-    if seed is not None:
-        meta["seed"] = seed
+def _meta(args, d: Dataset | None) -> dict:
+    meta = {"tool": "fairaudit", "version": __version__, "subcommand": args.subcommand}
+    if args.seed is not None:
+        meta["seed"] = args.seed
     if d is not None:
         s_name = d.sensitive_column
         meta["orientation"] = {
@@ -154,10 +152,6 @@ def _meta(args, subcommand: str, d: Dataset | None = None, seed: int | None = No
     if not args.no_timestamp:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
-
-
-def _load(args) -> Dataset:
-    return load_csv(args.data, parse_schema(read_json(args.schema, "schema")))
 
 
 def _fields(obj, *drop: str) -> dict:
@@ -185,19 +179,15 @@ def _fliptest_section(ft, **extra) -> dict:
     }
 
 
-# -- subcommands ---------------------------------------------------------------------
+# -- subcommands: each takes the loaded table (None for synth) and returns its sections --
 
 
-def _cmd_validate(args) -> int:
-    d = _load(args)
-    report = {"meta": _meta(args, "validate", d), "dataset": validate(d)}
-    _emit(report, args)
-    return EXIT_OK
+def _cmd_validate(args, d: Dataset) -> dict:
+    return {"dataset": validate(d)}
 
 
-def _cmd_audit(args) -> int:
-    d = _load(args)
-    report: dict = {"meta": _meta(args, "audit", d), "dataset": validate(d)}
+def _cmd_audit(args, d: Dataset) -> dict:
+    report: dict = {"dataset": validate(d)}
 
     table = contingency(d)
     rates = base_rates(table)
@@ -236,20 +226,14 @@ def _cmd_audit(args) -> int:
     if args.model is not None:
         ft = flip_test(load_model(args.model), d, args.decision_threshold)
         report["fliptest"] = _fliptest_section(ft)
-
-    _emit(report, args)
-    return EXIT_UNFAIR if verdict["point"] == "fail" else EXIT_OK
+    return report
 
 
-def _cmd_train(args) -> int:
-    d = _load(args)
+def _cmd_train(args, d: Dataset) -> dict:
     train_d, holdout_d = split(d, args.test_fraction, args.seed)
     m = train_logistic(train_d, include_sensitive=args.include_sensitive, target=args.target)
-    save_model(m, args.model)
-
     holdout = test_error(m, holdout_d, args.decision_threshold)
     report: dict = {
-        "meta": _meta(args, "train", d),
         "model": {
             "path": str(args.model),
             "target_column": m.target_column,
@@ -265,19 +249,13 @@ def _cmd_train(args) -> int:
                             target=args.target, include_sensitive=args.include_sensitive,
                             threshold=args.decision_threshold)
         report["cv_error"] = _fields(cv, "scheme")
-    _emit(report, args)
-    return EXIT_OK
+    save_model(m, args.model)  # after the holdout and CV, so that a refused row writes no model
+    return report
 
 
-def _cmd_fliptest(args) -> int:
-    d = _load(args)
+def _cmd_fliptest(args, d: Dataset) -> dict:
     ft = flip_test(load_model(args.model), d, args.decision_threshold)
-    report = {
-        "meta": _meta(args, "fliptest", d),
-        "fliptest": _fliptest_section(ft, threshold=args.decision_threshold),
-    }
-    _emit(report, args)
-    return EXIT_OK
+    return {"fliptest": _fliptest_section(ft, threshold=args.decision_threshold)}
 
 
 def _model_decision_di(d: Dataset, seed: int, threshold: float) -> tuple[float, float]:
@@ -289,19 +267,12 @@ def _model_decision_di(d: Dataset, seed: int, threshold: float) -> tuple[float, 
     return rates.p1 / rates.p2, float((decisions != target_mask(m, holdout_d)).mean())
 
 
-def _cmd_repair(args) -> int:
-    d = _load(args)
+def _cmd_repair(args, d: Dataset) -> dict:
     features = [f.strip() for f in args.features.split(",") if f.strip()]
     plan = fit_repair(d, features)
     repaired = apply_repair(plan, d, args.lam)
     distortion = repair_distortion(d, repaired, features)
-
-    save_csv(repaired, args.repaired_out)
-    if args.plan_out:
-        save_plan(plan, args.plan_out)
-
     report: dict = {
-        "meta": _meta(args, "repair", d),
         "repair": {
             "lambda": args.lam,
             "features": features,
@@ -319,28 +290,28 @@ def _cmd_repair(args) -> int:
             "model_error_before": err_before,
             "model_error_after": err_after,
         }
-    _emit(report, args)
-    return EXIT_OK
+    # after the effect's trainings, so that a refused table writes no file
+    save_csv(repaired, args.repaired_out)
+    if args.plan_out:
+        save_plan(plan, args.plan_out)
+    return report
 
 
-def _cmd_explain(args) -> int:
-    d = _load(args)
+def _cmd_explain(args, d: Dataset) -> dict:
+    if args.row is None and (args.samples is not None or args.kernel_width is not None):
+        raise DataError("--samples and --kernel-width apply only to the local surrogate of --row")
     m = load_model(args.model)
     pi = permutation_importance(m, d, threshold=args.decision_threshold,
                                 repeats=args.replicates, seed=args.seed)
-    report: dict = {
-        "meta": _meta(args, "explain", d),
-        "explain": {"permutation_importance": asdict(pi)},
-    }
+    report: dict = {"explain": {"permutation_importance": asdict(pi)}}
     if args.row is not None:
-        ls = local_surrogate(m, args.row, d, n_samples=args.samples,
-                             kernel_width=args.kernel_width, seed=args.seed)
+        samples = 1000 if args.samples is None else args.samples  # not "or": 0 samples is refused
+        ls = local_surrogate(m, args.row, d, n_samples=samples, kernel_width=args.kernel_width, seed=args.seed)
         report["explain"]["local_surrogate"] = asdict(ls)
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, _d: None) -> dict:
     def spec_of(base) -> GeneratorSpec:
         if not isinstance(base, dict):
             raise DataError("generator spec must be a JSON object")
@@ -351,15 +322,14 @@ def _cmd_synth(args) -> int:
     flags = {"n": args.n, "seed": args.seed, "protected_fraction": args.protected_fraction,
              "group_bias": args.group_bias}
     spec = replace(spec, **{k: v for k, v in flags.items() if v is not None})
+    args.seed = spec.seed  # the report's meta names the seed the table was drawn with
     if args.target_di is not None:
         spec = replace(spec, group_bias=solve_group_bias(spec, args.target_di))
     d, true_di = generate(spec)
     save_csv(d, args.data)
     if args.schema_out:
         write_json(SCHEMA, args.schema_out)
-
-    report = {
-        "meta": _meta(args, "synth", seed=spec.seed),
+    return {
         "synth": {
             "spec": asdict(spec),
             "true_di": true_di,
@@ -367,8 +337,6 @@ def _cmd_synth(args) -> int:
             "data_csv": str(args.data),
         },
     }
-    _emit(report, args)
-    return EXIT_OK
 
 
 # -- argument wiring -------------------------------------------------------------------
@@ -435,8 +403,9 @@ def _build_parser() -> _Parser:
     common(p, model=True)
     p.add_argument("--row", type=int, help="row index for the local surrogate")
     p.add_argument("--replicates", type=int, default=10, help="permutation repeats")
-    p.add_argument("--samples", type=int, default=1000, help="surrogate perturbations")
-    p.add_argument("--kernel-width", type=float, default=None)
+    p.add_argument("--samples", type=int, default=None,
+                   help="surrogate perturbations (default 1000; needs --row)")
+    p.add_argument("--kernel-width", type=float, default=None, help="surrogate kernel width (needs --row)")
     p.set_defaults(func=_cmd_explain, seed=0)
 
     p = sub.add_parser("synth", help="generate synthetic data with known disparity")
@@ -464,7 +433,12 @@ def main(argv=None) -> int:
         for path in filter(None, (getattr(args, dest) for dest in args.outputs)):
             if not Path(path).parent.is_dir():
                 raise DataError(f"no directory for output file: {path}")
-        return args.func(args)
+        d = load_csv(args.data, parse_schema(read_json(args.schema, "schema"))) if "schema" in args else None
+        sections = args.func(args, d)
+        # meta leads the report but is built after the work, so its timestamp marks completion
+        report = {"meta": _meta(args, d), **sections}
+        _emit(report, args)
+        return EXIT_UNFAIR if report.get("verdict", {}).get("point") == "fail" else EXIT_OK
     except (DataError, ValueError, OSError) as e:
         # OSError: an input that cannot be read or an output that cannot be written
         print(f"fairaudit: data error: {e}", file=sys.stderr)

@@ -72,6 +72,14 @@ class FeatureEncoding:
         return len(self.feature_names)
 
 
+def _numeric_feature(d: Dataset, name: str) -> np.ndarray:
+    """A numeric feature's cells as floats, NaN where missing; an infinite cell is refused."""
+    values = np.asarray(d.values(name), dtype=np.float64)  # a column the schema leaves as text is parsed
+    if np.isinf(values).any():
+        raise DataError(f"numeric column {name!r} holds infinite values, which a model cannot encode")
+    return values
+
+
 def build_encoding(d: Dataset, include_sensitive: bool = False) -> FeatureEncoding:
     """Fit the encoding on a training dataset."""
     numeric: dict[str, NumericSpec] = {}
@@ -81,7 +89,7 @@ def build_encoding(d: Dataset, include_sensitive: bool = False) -> FeatureEncodi
 
     for name, role in d.schema.items():
         if role.kind == "numeric":
-            values = d.values(name)
+            values = _numeric_feature(d, name)
             ok = ~np.isnan(values)
             if not ok.any():
                 warnings.warn(f"numeric column {name!r} is entirely missing; dropped")
@@ -122,7 +130,7 @@ def encode(enc: FeatureEncoding, d: Dataset) -> np.ndarray:
     for name in enc.source_order:
         if name in enc.numeric:
             spec = enc.numeric[name]
-            x = np.array(d.values(name), dtype=np.float64)
+            x = np.array(_numeric_feature(d, name))
             x[np.isnan(x)] = spec.mean
             cols.append((x - spec.mean) / spec.sd)
         elif name in enc.categorical:

@@ -93,6 +93,17 @@ MUTANTS = [
      "if rank < A.shape[1]:", "if False:", KILLED),
     ("surrogate-raw-finiteness-dropped", "explain.py",
      "if not np.all(np.isfinite(np.append(slopes, intercept))):", "if False:", KILLED),
+    ("meta-after-sections", "cli.py",
+     'report = {"meta": _meta(args, d), **sections}', 'report = {**sections, "meta": _meta(args, d)}', KILLED),
+    ("exit-unfair-never-matches", "cli.py",
+     '.get("point") == "fail"', '.get("point") == "failed"', KILLED),
+    ("synth-meta-without-spec-seed", "cli.py",
+     "args.seed = spec.seed", "args.seed = args.seed", KILLED),
+    ("explain-flags-accepted-without-row", "cli.py",
+     "if args.row is None and (args.samples is not None or args.kernel_width is not None):",
+     "if False:", KILLED),
+    ("infinite-cells-accepted", "model.py",
+     "if np.isinf(values).any():", "if False:", KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

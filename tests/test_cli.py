@@ -254,6 +254,7 @@ def test_stdout_emission(table_files, capsys):
 
 GEN = ["--data", "gen.csv", "--schema", "gen-schema.json"]
 HAND = ["--data", "hand.csv", "--schema", "hand-schema.json"]
+HAND_INF = ["--data", "hand-inf.csv", "--schema", "hand-schema.json"]  # age of data row 4 is inf
 
 MALFORMED = [
     # (id, argv, exit code, stderr fragment)
@@ -300,6 +301,17 @@ MALFORMED = [
      "local surrogate of row 0: raw-unit coefficients are not finite"),
     ("explain-kernel-width-nan", ["explain", *HAND, "--model", "model-hand.json", "--row", "0",
                                   "--kernel-width", "nan"], 2, "kernel width must be positive, got nan"),
+    ("explain-kernel-width-without-row", ["explain", *HAND, "--model", "model-hand.json",
+                                          "--kernel-width", "nan"], 2, "--row"),
+    ("explain-samples-without-row", ["explain", *HAND, "--model", "model-hand.json", "--samples", "5"],
+     2, "--row"),
+    ("train-inf-cell", ["train", *HAND_INF, "--model", "m.json"], 2,
+     "numeric column 'age' holds infinite values"),
+    # seed 7 puts that row in the holdout, which is scored after the fit: still no model file
+    ("train-inf-cell-in-holdout", ["train", *HAND_INF, "--model", "m.json", "--seed", "7", "--replicates", "0"],
+     2, "numeric column 'age' holds infinite values"),
+    ("explain-inf-cell", ["explain", *HAND_INF, "--model", "model-hand.json"], 2,
+     "numeric column 'age' holds infinite values"),
     ("model-nested-weights-fliptest", ["fliptest", *HAND, "--model", "nested.json"], 2,
      "malformed model file nested.json"),
     ("model-nested-weights-explain", ["explain", *HAND, "--model", "nested.json"], 2,
@@ -346,6 +358,9 @@ def malformed_inputs(tmp_path, monkeypatch):
     for name in ("hand.csv", "hand-schema.json"):
         shutil.copy(GOLDEN / "inputs" / name, tmp_path / name)
     shutil.copy(GOLDEN / "expected" / "model-hand.json", tmp_path / "model-hand.json")
+    lines = (GOLDEN / "inputs" / "hand.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[4] = "inf" + lines[4][lines[4].index(","):]
+    (tmp_path / "hand-inf.csv").write_text("".join(lines), encoding="utf-8")
     model_edits = {
         "bogus.json": lambda m: m["encoding"]["source_order"].insert(1, "bogus"),
         "mean-null.json": lambda m: m["encoding"]["numeric"]["age"].update(mean=None),
@@ -377,6 +392,28 @@ def test_malformed_invocation_exit_code(malformed_inputs, capsys, argv, code, fr
     assert "Traceback" not in err
     assert fragment in err
     assert sorted(os.listdir()) == before  # no output file was created
+
+
+# every CLI guard at its exact bound: (id, argv, exit code)
+BOUNDS = [
+    ("level-0", ["audit", *HAND, "--level", "0"], 1),
+    ("level-1", ["audit", *HAND, "--level", "1"], 1),
+    ("rule-threshold-1", ["audit", *HAND, "--threshold", "1"], 3),
+    ("rule-threshold-0", ["audit", *HAND, "--threshold", "0"], 1),
+    ("test-fraction-0", ["train", *HAND, "--model", "m.json", "--test-fraction", "0"], 1),
+    ("test-fraction-1", ["train", *HAND, "--model", "m.json", "--test-fraction", "1"], 1),
+    ("score-threshold-0", ["fliptest", *HAND, "--model", "model-hand.json", "--threshold", "0"], 1),
+    ("lambda-1", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv", "--lambda", "1"], 0),
+    ("lambda-minus-0", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv",
+                        "--lambda", "-0.0"], 0),
+    ("lambda-above-1", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv",
+                        "--lambda", "1.0000000000000002"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", [pytest.param(*row[1:], id=row[0]) for row in BOUNDS])
+def test_cli_guard_at_its_bound(malformed_inputs, argv, code):
+    assert main([*argv, "--no-timestamp"]) == code
 
 
 # -- exit-code contract: generated inputs ----------------------------------------------

@@ -130,6 +130,20 @@ def test_sensitive_indicator_encoding():
     assert X[0, 1] == 1.0 and X[1, 1] == 0.0
 
 
+@pytest.mark.parametrize("cell", [np.inf, -np.inf])
+def test_infinite_numeric_cell_is_refused_where_fitted_and_where_encoded(cell):
+    d = separable_toy()
+    x = d.values("x").copy()
+    x[3] = cell
+    bad = d.with_values("x", x)
+    enc = build_encoding(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any mean or sd is taken
+        for fit_or_encode in (build_encoding, lambda t: encode(enc, t)):
+            with pytest.raises(DataError, match="numeric column 'x' holds infinite values"):
+                fit_or_encode(bad)
+
+
 # -- training ---------------------------------------------------------------------
 
 
