@@ -132,7 +132,11 @@ def encode(enc: FeatureEncoding, d: Dataset) -> np.ndarray:
             spec = enc.numeric[name]
             x = np.array(_numeric_feature(d, name))
             x[np.isnan(x)] = spec.mean
-            cols.append((x - spec.mean) / spec.sd)
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = (x - spec.mean) / spec.sd
+            if not np.isfinite(z).all():
+                raise DataError(f"numeric column {name!r} overflows when standardized by the model's sd")
+            cols.append(z)
         elif name in enc.categorical:
             spec = enc.categorical[name]
             values = d.values(name)

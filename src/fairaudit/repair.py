@@ -57,61 +57,51 @@ class QuantileMap:
         return (lo + hi) / (2.0 * self.size)
 
 
+GROUPS = ("protected", "other")  # the order of every pair in a plan, and their names in its file
+
+
 @dataclass(frozen=True)
 class RepairPlan:
-    """Fitted per-feature transport maps toward the weighted barycenter."""
+    """Fitted per-feature transport maps toward the weighted barycenter; each pair follows GROUPS."""
 
     features: tuple[str, ...]
-    protected_label: str
-    other_label: str
-    n_protected: int  # fit-time group row counts; barycenter weights
-    n_other: int
-    protected_maps: dict[str, QuantileMap]
-    other_maps: dict[str, QuantileMap]
+    labels: tuple[str, str]  # the sensitive column's fit-time labels
+    sizes: tuple[int, int]  # fit-time group row counts; barycenter weights
+    maps: dict[str, tuple[QuantileMap, QuantileMap]]
 
     def target_quantile(self, feature: str, u) -> np.ndarray:
-        qp = self.protected_maps[feature].quantile(u)
-        qn = self.other_maps[feature].quantile(u)
-        total = self.n_protected + self.n_other
-        return (self.n_protected * qp + self.n_other * qn) / total
+        qp, qn = (qmap.quantile(u) for qmap in self.maps[feature])
+        n1, n2 = self.sizes
+        return (n1 * qp + n2 * qn) / (n1 + n2)
+
+
+def _group_masks(d: Dataset, features) -> tuple[np.ndarray, np.ndarray]:
+    """The two groups' row masks, once every feature is a numeric column without infinite cells."""
+    for name in features:
+        role = d.schema.get(name)
+        if role is None or role.kind != "numeric":
+            raise DataError(f"dataset lacks numeric feature {name!r}")
+        if np.isinf(d.values(name)).any():
+            raise DataError(f"numeric column {name!r} holds infinite values, which repair cannot map")
+    protected = d.protected_mask()
+    return protected, ~protected
 
 
 def fit_repair(d: Dataset, features: list[str]) -> RepairPlan:
     """Fit group quantile maps for the listed numeric features."""
     if not features:
         raise DataError("no features listed for repair")
-    protected_label, other_label = d.sensitive_modalities()
-    protected = d.protected_mask()
-    n1 = int(np.count_nonzero(protected))
-    n2 = d.n - n1
-
-    protected_maps: dict[str, QuantileMap] = {}
-    other_maps: dict[str, QuantileMap] = {}
+    masks = _group_masks(d, features)
+    maps: dict[str, tuple[QuantileMap, QuantileMap]] = {}
     for name in features:
-        role = d.schema.get(name)
-        if role is None or role.kind != "numeric":
-            raise DataError(f"{name!r} is not a numeric feature of the dataset")
-        values = d.values(name)
-        for mask, maps, label in ((protected, protected_maps, protected_label),
-                                  (~protected, other_maps, other_label)):
-            sample = values[mask]
-            sample = sample[~np.isnan(sample)]
+        samples = [np.sort(d.values(name)[mask & ~d.missing_mask(name)]) for mask in masks]
+        for group, sample in zip(GROUPS, samples):
             if len(sample) < 2:
-                raise DataError(
-                    f"feature {name!r}: group {label!r} has {len(sample)} "
-                    "non-missing values, need at least 2"
-                )
-            maps[name] = QuantileMap(np.sort(sample))
-
-    return RepairPlan(
-        features=tuple(features),
-        protected_label=protected_label,
-        other_label=other_label,
-        n_protected=n1,
-        n_other=n2,
-        protected_maps=protected_maps,
-        other_maps=other_maps,
-    )
+                raise DataError(f"feature {name!r}: {group} group has {len(sample)} "
+                                "non-missing values, need at least 2")
+        maps[name] = tuple(map(QuantileMap, samples))
+    sizes = tuple(int(np.count_nonzero(mask)) for mask in masks)
+    return RepairPlan(tuple(features), d.sensitive_modalities(), sizes, maps)
 
 
 def apply_repair(plan: RepairPlan, d: Dataset, lam: float) -> Dataset:
@@ -120,20 +110,18 @@ def apply_repair(plan: RepairPlan, d: Dataset, lam: float) -> Dataset:
     Only the plan's features change; missing cells stay missing. Values outside
     the fit-time support are clamped to the nearest order statistic of the
     target (their rank saturates at 0 or 1); the clamped count is reported as
-    a warning, not an error.
+    a warning, not an error. The sensitive labels must be the plan's; one group alone applies.
     """
     if not 0.0 <= lam <= 1.0:
         raise DataError(f"lambda must be in [0, 1], got {lam}")
-    protected = d.protected_mask()
-    out = d
-    clamped = 0
+    masks = _group_masks(d, plan.features)
+    labels = d.sensitive_modalities()  # (protected, protected) when only that group is present
+    if labels[0] != plan.labels[0] or labels[1] not in plan.labels:
+        raise DataError(f"sensitive labels {labels} (protected first) are not the repair plan's {plan.labels}")
+    out, clamped = d, 0
     for name in plan.features:
-        role = d.schema.get(name)
-        if role is None or role.kind != "numeric":
-            raise DataError(f"dataset lacks numeric feature {name!r} from the plan")
         values = np.array(d.values(name), dtype=np.float64)
-        for mask, qmap in ((protected, plan.protected_maps[name]),
-                           (~protected, plan.other_maps[name])):
+        for mask, qmap in zip(masks, plan.maps[name]):
             idx = np.flatnonzero(mask & ~np.isnan(values))
             if len(idx) == 0:
                 continue
@@ -172,14 +160,10 @@ def plan_to_dict(plan: RepairPlan) -> dict:
     return {
         "format": "fairaudit-repair/1",
         "features": list(plan.features),
-        "protected_label": plan.protected_label,
-        "other_label": plan.other_label,
-        "group_sizes": {"protected": plan.n_protected, "other": plan.n_other},
+        **{f"{group}_label": label for group, label in zip(GROUPS, plan.labels)},
+        "group_sizes": dict(zip(GROUPS, plan.sizes)),
         "samples": {
-            name: {
-                "protected": [float(v) for v in plan.protected_maps[name].values],
-                "other": [float(v) for v in plan.other_maps[name].values],
-            }
+            name: {group: [float(v) for v in qmap.values] for group, qmap in zip(GROUPS, plan.maps[name])}
             for name in plan.features
         },
     }
@@ -191,18 +175,10 @@ def plan_from_dict(obj: dict) -> RepairPlan:
     features = tuple(obj["features"])
     return RepairPlan(
         features=features,
-        protected_label=str(obj["protected_label"]),
-        other_label=str(obj["other_label"]),
-        n_protected=int(obj["group_sizes"]["protected"]),
-        n_other=int(obj["group_sizes"]["other"]),
-        protected_maps={
-            name: QuantileMap(np.asarray(obj["samples"][name]["protected"]))
-            for name in features
-        },
-        other_maps={
-            name: QuantileMap(np.asarray(obj["samples"][name]["other"]))
-            for name in features
-        },
+        labels=tuple(str(obj[f"{group}_label"]) for group in GROUPS),
+        sizes=tuple(int(obj["group_sizes"][group]) for group in GROUPS),
+        maps={name: tuple(QuantileMap(np.asarray(obj["samples"][name][group])) for group in GROUPS)
+              for name in features},
     )
 
 

@@ -104,6 +104,12 @@ MUTANTS = [
      "if False:", KILLED),
     ("infinite-cells-accepted", "model.py",
      "if np.isinf(values).any():", "if False:", KILLED),
+    ("repair-infinite-cells-accepted", "repair.py",
+     "if np.isinf(d.values(name)).any():", "if False:", KILLED),
+    ("repair-plan-labels-unchecked", "repair.py",
+     "if labels[0] != plan.labels[0] or labels[1] not in plan.labels:", "if False:", KILLED),
+    ("encode-non-finite-accepted", "model.py",
+     "if not np.isfinite(z).all():", "if False:", KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 from fairaudit import GeneratorSpec, load_csv, parse_schema
 from fairaudit.cli import main
 
+# numpy's warnings reach stderr ahead of the "fairaudit" line, which pytest's capture would hide
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA_OBJ = {
     "s": {"role": "sensitive", "protected": "P"},
@@ -298,7 +301,9 @@ MALFORMED = [
     ("model-sd-zero", ["fliptest", *HAND, "--model", "sd-zero.json"], 2, "malformed model file sd-zero.json"),
     ("model-sd-infinite", ["explain", *HAND, "--model", "sd-inf.json"], 2, "malformed model file sd-inf.json"),
     ("model-sd-subnormal", ["explain", *HAND, "--model", "sd-subnormal.json", "--row", "0"], 2,
-     "local surrogate of row 0: raw-unit coefficients are not finite"),
+     "numeric column 'age' overflows when standardized by the model's sd"),
+    ("model-sd-subnormal-no-row", ["explain", *HAND, "--model", "sd-subnormal.json"], 2,
+     "numeric column 'age' overflows when standardized by the model's sd"),
     ("explain-kernel-width-nan", ["explain", *HAND, "--model", "model-hand.json", "--row", "0",
                                   "--kernel-width", "nan"], 2, "kernel width must be positive, got nan"),
     ("explain-kernel-width-without-row", ["explain", *HAND, "--model", "model-hand.json",
@@ -311,6 +316,10 @@ MALFORMED = [
     ("train-inf-cell-in-holdout", ["train", *HAND_INF, "--model", "m.json", "--seed", "7", "--replicates", "0"],
      2, "numeric column 'age' holds infinite values"),
     ("explain-inf-cell", ["explain", *HAND_INF, "--model", "model-hand.json"], 2,
+     "numeric column 'age' holds infinite values"),
+    # no decision column, so no baseline training refuses the cell first
+    ("repair-infinite-cell", ["repair", "--data", "hand-inf.csv", "--schema", "hand-no-decision.json",
+                              "--features", "age", "--lambda", "1", "--repaired-out", "r.csv"], 2,
      "numeric column 'age' holds infinite values"),
     ("model-nested-weights-fliptest", ["fliptest", *HAND, "--model", "nested.json"], 2,
      "malformed model file nested.json"),
@@ -361,13 +370,16 @@ def malformed_inputs(tmp_path, monkeypatch):
     lines = (GOLDEN / "inputs" / "hand.csv").read_text(encoding="utf-8").splitlines(keepends=True)
     lines[4] = "inf" + lines[4][lines[4].index(","):]
     (tmp_path / "hand-inf.csv").write_text("".join(lines), encoding="utf-8")
+    schema = json.loads((GOLDEN / "inputs" / "hand-schema.json").read_text(encoding="utf-8"))
+    del schema["hired"]
+    (tmp_path / "hand-no-decision.json").write_text(json.dumps(schema), encoding="utf-8")
     model_edits = {
         "bogus.json": lambda m: m["encoding"]["source_order"].insert(1, "bogus"),
         "mean-null.json": lambda m: m["encoding"]["numeric"]["age"].update(mean=None),
         "sd-null.json": lambda m: m["encoding"]["numeric"]["age"].update(sd=None),
         "sd-zero.json": lambda m: m["encoding"]["numeric"]["income"].update(sd=0),
         "sd-inf.json": lambda m: m["encoding"]["numeric"]["income"].update(sd=float("inf")),
-        # positive and finite, so the file loads, but the surrogate is not finite in raw units
+        # positive and finite, so the file loads, but age standardizes to infinite values
         "sd-subnormal.json": lambda m: m["encoding"]["numeric"]["age"].update(sd=5e-324),
         "nested.json": lambda m: m.update(weights=[[w] for w in m["weights"]]),
     }

@@ -209,7 +209,8 @@ def test_surrogate_refuses_a_rank_deficient_kernel():
 def test_surrogate_refuses_non_finite_raw_coefficients():
     d = two_feature_dataset(n=120, seed=8)
     m = linear_hand_model(d, [1.0, -0.5])
-    tiny = with_numeric_spec(m, "x", m.encoding.numeric["x"].mean, 5e-324)  # load_model accepts it
+    # load_model accepts this sd; the row's own mean standardizes it to 0, so encode does not overflow
+    tiny = with_numeric_spec(m, "x", float(d.values("x")[5]), 5e-324)
     with np.errstate(over="ignore"), \
             pytest.raises(DataError, match="row 5: raw-unit coefficients are not finite"):
         local_surrogate(tiny, 5, d, n_samples=200, seed=3)

@@ -54,7 +54,7 @@ def test_fit_identical_groups_target_equals_both():
     )
     plan = fit_repair(d, ["x"])
     u = np.linspace(0, 1, 11)
-    assert np.allclose(plan.target_quantile("x", u), plan.protected_maps["x"].quantile(u))
+    assert np.allclose(plan.target_quantile("x", u), plan.maps["x"][0].quantile(u))
 
 
 def test_fit_single_value_group_errors():
@@ -64,11 +64,25 @@ def test_fit_single_value_group_errors():
     )
     with pytest.raises(DataError, match="at least 2"):
         fit_repair(d, ["x"])
+    # the empty group is named by its role, not by the protected label repeated
+    with pytest.raises(DataError, match="^feature 'x': other group has 0 non-missing values"):
+        fit_repair(d.with_values("s", ["a", "a", "a"]), ["x"])
 
 
 def test_fit_rejects_non_numeric():
     with pytest.raises(DataError, match="numeric"):
         fit_repair(toy_dataset(), ["s"])
+
+
+def test_fit_and_apply_refuse_an_infinite_cell():
+    d = toy_dataset()
+    plan = fit_repair(d, ["x"])
+    for x in (np.inf, -np.inf):
+        bad = d.with_values("x", np.where(np.arange(d.n) == 4, x, d.values("x")))
+        with pytest.raises(DataError, match="numeric column 'x' holds infinite values"):
+            fit_repair(bad, ["x"])
+        with pytest.raises(DataError, match="numeric column 'x' holds infinite values"):
+            apply_repair(plan, bad, 0.5)
 
 
 # -- application --------------------------------------------------------------------
@@ -168,6 +182,32 @@ def test_apply_validates_lambda_and_features():
     )
     with pytest.raises(DataError, match="lacks"):
         apply_repair(plan, other, 1.0)
+
+
+def relabelled(d, protected, mapping):
+    s = np.array([mapping[v] for v in d.values("s")])
+    return Dataset({"x": ColumnRole("numeric"), "s": ColumnRole("sensitive", protected=protected)},
+                   {"x": d.values("x"), "s": s})
+
+
+def test_apply_refuses_labels_other_than_the_plan():
+    d = toy_dataset()
+    plan = fit_repair(d, ["x"])
+    with pytest.raises(DataError, match=re.escape("sensitive labels ('b', 'a') (protected first) "
+                                                  "are not the repair plan's ('a', 'b')")):
+        apply_repair(plan, relabelled(d, "b", {"a": "a", "b": "b"}), 1.0)  # the other label declared protected
+    for protected, mapping in (("a", {"a": "a", "b": "c"}), ("A", {"a": "A", "b": "B"})):
+        with pytest.raises(DataError, match="are not the repair plan's"):
+            apply_repair(plan, relabelled(d, protected, mapping), 1.0)
+
+
+def test_apply_to_a_batch_of_one_group():
+    d = toy_dataset()
+    plan = fit_repair(d, ["x"])
+    batch = d.take([0, 1, 2])  # protected rows only
+    repaired = apply_repair(plan, batch, 1.0)
+    assert repaired.values("x").tolist() == [5.0, 6.0, 7.0]
+    assert repaired.values("x").tolist() == apply_repair(plan, d, 1.0).values("x")[:3].tolist()
 
 
 # -- distortion ---------------------------------------------------------------------
