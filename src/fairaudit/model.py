@@ -88,7 +88,7 @@ def build_encoding(d: Dataset, include_sensitive: bool = False) -> FeatureEncodi
     order: list[str] = []
 
     for name, role in d.schema.items():
-        if role.kind == "numeric":
+        if role.kind == NUMERIC:
             values = _numeric_feature(d, name)
             ok = ~np.isnan(values)
             if not ok.any():
@@ -103,7 +103,7 @@ def build_encoding(d: Dataset, include_sensitive: bool = False) -> FeatureEncodi
                 continue
             numeric[name] = NumericSpec(name, mean, sd)
             order.append(name)
-        elif role.kind == "categorical":
+        elif role.kind == CATEGORICAL:
             present = d.values(name)[~d.missing_mask(name)]
             modalities = tuple(sorted(np.unique(present).tolist()))
             categorical[name] = CategoricalSpec(name, modalities)

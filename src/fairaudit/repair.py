@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, read_json, write_json
+from .data import NUMERIC, Dataset, read_json, write_json
 from .errors import DataError
 
 
@@ -28,14 +28,14 @@ from .errors import DataError
 class QuantileMap:
     """Empirical quantile function of one feature within one group."""
 
-    values: np.ndarray  # sorted ascending, no NaN
+    values: np.ndarray  # sorted ascending, finite
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if len(v) < 2:
             raise DataError("a quantile map needs at least 2 values")
-        if np.any(np.isnan(v)) or np.any(np.diff(v) < 0):
-            raise DataError("quantile map values must be sorted and non-missing")
+        if not np.isfinite(v).all() or np.any(np.diff(v) < 0):
+            raise DataError("quantile map values must be sorted and finite")
 
     @property
     def size(self) -> int:
@@ -79,7 +79,7 @@ def _group_masks(d: Dataset, features) -> tuple[np.ndarray, np.ndarray]:
     """The two groups' row masks, once every feature is a numeric column without infinite cells."""
     for name in features:
         role = d.schema.get(name)
-        if role is None or role.kind != "numeric":
+        if role is None or role.kind != NUMERIC:
             raise DataError(f"dataset lacks numeric feature {name!r}")
         if np.isinf(d.values(name)).any():
             raise DataError(f"numeric column {name!r} holds infinite values, which repair cannot map")
@@ -173,13 +173,13 @@ def plan_from_dict(obj: dict) -> RepairPlan:
     if obj.get("format") != "fairaudit-repair/1":
         raise DataError(f"unsupported repair plan format {obj.get('format')!r}")
     features = tuple(obj["features"])
-    return RepairPlan(
-        features=features,
-        labels=tuple(str(obj[f"{group}_label"]) for group in GROUPS),
-        sizes=tuple(int(obj["group_sizes"][group]) for group in GROUPS),
-        maps={name: tuple(QuantileMap(np.asarray(obj["samples"][name][group])) for group in GROUPS)
-              for name in features},
-    )
+    sizes = tuple(obj["group_sizes"][group] for group in GROUPS)
+    maps = {name: tuple(QuantileMap(np.asarray(obj["samples"][name][group])) for group in GROUPS)
+            for name in features}
+    for i, (group, size) in enumerate(zip(GROUPS, sizes)):
+        if not isinstance(size, int) or isinstance(size, bool) or any(size < pair[i].size for pair in maps.values()):
+            raise DataError(f"{group} group size {size!r} must be an integer no smaller than its sample count")
+    return RepairPlan(features, tuple(str(obj[f"{group}_label"]) for group in GROUPS), sizes, maps)
 
 
 def save_plan(plan: RepairPlan, path: str | Path) -> None:

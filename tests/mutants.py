@@ -110,6 +110,13 @@ MUTANTS = [
      "if labels[0] != plan.labels[0] or labels[1] not in plan.labels:", "if False:", KILLED),
     ("encode-non-finite-accepted", "model.py",
      "if not np.isfinite(z).all():", "if False:", KILLED),
+    ("normal-quantile-nan-accepted", "inference.py",
+     "if not 0.0 < p < 1.0:", "if p <= 0.0 or p >= 1.0:", KILLED),
+    ("plan-sizes-unchecked", "repair.py",
+     "if not isinstance(size, int) or isinstance(size, bool) or any(size < pair[i].size for pair in maps.values()):",
+     "if False:", KILLED),
+    ("quantile-map-accepts-infinite", "repair.py",
+     "if not np.isfinite(v).all() or", "if np.isnan(v).any() or", KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

@@ -293,6 +293,8 @@ MALFORMED = [
      2, "duplicate column names ['s'] in header"),
     ("oversized-field", ["validate", "--data", "big.csv", "--schema", "dup-schema.json"],
      2, "big.csv: line 3: field larger than field limit"),
+    ("empty-csv", ["validate", "--data", "empty.csv", "--schema", "hand-schema.json"],
+     2, "empty.csv: file is empty, header row required"),
     ("model-names-unknown-column", ["fliptest", "--data", "hand.csv", "--schema", "hand-schema.json",
                                     "--model", "bogus.json"], 2, "malformed model file bogus.json"),
     ("model-mean-null", ["fliptest", *HAND, "--model", "mean-null.json"], 2,
@@ -337,6 +339,7 @@ MALFORMED = [
      "malformed generator spec file short-pair.json"),
     ("level-out-of-range", ["audit", "--data", "absent.csv", "--schema", "absent.json",
                             "--level", "1.5"], 1, "--level"),
+    ("level-not-a-number", ["audit", *HAND, "--level", "abc"], 1, "--level: must be in (0, 1), got 'abc'"),
     ("rule-threshold-out-of-range", ["audit", *GEN, "--threshold", "1.5"], 1, "(0, 1]"),
     ("score-threshold-out-of-range", ["fliptest", *GEN, "--model", "m.json",
                                       "--threshold", "1"], 1, "(0, 1)"),
@@ -364,6 +367,7 @@ def malformed_inputs(tmp_path, monkeypatch):
     (tmp_path / "dup-schema.json").write_text(json.dumps(SCHEMA_OBJ), encoding="utf-8")
     (tmp_path / "big.csv").write_text("s,y\nP,1\nN," + "0" * (csv.field_size_limit() + 1) + "\n",
                                       encoding="utf-8")
+    (tmp_path / "empty.csv").write_text("", encoding="utf-8")
     for name in ("hand.csv", "hand-schema.json"):
         shutil.copy(GOLDEN / "inputs" / name, tmp_path / name)
     shutil.copy(GOLDEN / "expected" / "model-hand.json", tmp_path / "model-hand.json")

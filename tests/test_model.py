@@ -1,13 +1,24 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit import ColumnRole, DataError, Dataset, cross_validate, decide, predict_score, predict_scores, train_logistic
+from fairaudit import (
+    ColumnRole,
+    DataError,
+    Dataset,
+    cross_validate,
+    decide,
+    load_csv,
+    predict_score,
+    predict_scores,
+    train_logistic,
+)
 from fairaudit import test_error as holdout_error
 from fairaudit.model import (
     L2,
@@ -93,6 +104,21 @@ def test_encoding_drops_constant_column_with_warning():
         enc = build_encoding(d)
     assert "z" in enc.dropped
     assert enc.feature_names == ["x"]
+
+
+def test_training_drops_an_all_missing_column_with_warning(tmp_path):
+    golden = Path(__file__).parent / "golden" / "inputs"
+    header, *rows = (golden / "hand.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert header.startswith("age,")
+    blanked = "".join("," + row.split(",", 1)[1] for row in rows)
+    (tmp_path / "hand.csv").write_text(header + blanked, encoding="utf-8")
+    schema = json.loads((golden / "hand-schema.json").read_text(encoding="utf-8"))
+    d = load_csv(tmp_path / "hand.csv", schema)
+    assert d.missing_mask("age").all()
+    with pytest.warns(UserWarning, match="^numeric column 'age' is entirely missing; dropped$"):
+        m = train_logistic(d)
+    assert m.encoding.dropped == ("age",)
+    assert "age" not in m.encoding.feature_names
 
 
 def test_encoding_unknown_modality_warns_and_zero_codes():

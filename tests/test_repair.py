@@ -297,6 +297,9 @@ def test_repair_properties(fit, fresh, lam):
 
 def test_plan_round_trip(tmp_path):
     d = random_dataset(n=300, seed=19)
+    x = d.values("x").copy()
+    x[0] = np.nan  # a group size may exceed its sample count
+    d = d.with_values("x", x)
     plan = fit_repair(d, ["x", "z"])
     clone = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
     u = np.linspace(0, 1, 23)
@@ -327,6 +330,24 @@ def test_load_plan_rejects_malformed_files(tmp_path):
             load_plan(path)
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda plan: plan["group_sizes"].update(protected=0, other=0), id="sizes-zero"),
+    pytest.param(lambda plan: plan["group_sizes"].update(protected=-5), id="size-negative"),
+    pytest.param(lambda plan: plan["group_sizes"].update(protected=2), id="size-below-samples"),
+    pytest.param(lambda plan: plan["group_sizes"].update(protected=3.7), id="size-float"),
+    pytest.param(lambda plan: plan["group_sizes"].update(protected=True), id="size-bool"),
+    pytest.param(lambda plan: plan["samples"]["x"].update(other=[10.0, 11.0, float("inf")]), id="sample-infinite"),
+])
+def test_load_plan_rejects_sizes_and_samples_it_cannot_apply(tmp_path, edit):
+    """Group sizes are the barycenter weights and count at least each map's samples; samples are finite."""
+    plan = plan_to_dict(fit_repair(toy_dataset(), ["x"]))  # 3 rows and 3 samples per group
+    edit(plan)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"malformed repair plan file {path}: DataError: ")):
+        load_plan(path)
+
+
 def test_fit_once_apply_many():
     train = random_dataset(n=500, seed=23)
     fresh = random_dataset(n=200, seed=29)
@@ -345,3 +366,6 @@ def test_quantile_map_validation():
         QuantileMap(np.array([1.0]))
     with pytest.raises(DataError):
         QuantileMap(np.array([2.0, 1.0]))
+    for bad in ([1.0, np.nan], [1.0, np.inf], [-np.inf, 1.0]):
+        with pytest.raises(DataError, match="must be sorted and finite"):
+            QuantileMap(np.array(bad))
