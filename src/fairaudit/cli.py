@@ -78,6 +78,13 @@ def _fraction(text: str, one_allowed: bool = False) -> float:
     raise argparse.ArgumentTypeError(f"must be in (0, 1{']' if one_allowed else ')'}, got {text!r}")
 
 
+def _cv_replicates(text: str) -> int:
+    """argparse type: 0 (no cross-validation) or an integer of at least 2."""
+    if text.isdigit() and int(text) != 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be 0 (no cross-validation) or at least 2, got {text!r}")
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "yes" if v else "no"
@@ -244,7 +251,7 @@ def _cmd_train(args, d: Dataset) -> dict:
         },
         "holdout_error": {"rate": holdout.rate, "test_fraction": args.test_fraction},
     }
-    if args.replicates >= 2:
+    if args.replicates:
         cv = cross_validate(d, args.replicates, args.test_fraction, args.seed,
                             target=args.target, include_sensitive=args.include_sensitive,
                             threshold=args.decision_threshold)
@@ -382,7 +389,7 @@ def _build_parser() -> _Parser:
     common(p, model=True)
     p.add_argument("--include-sensitive", action="store_true")
     p.add_argument("--test-fraction", type=_fraction, default=0.3)
-    p.add_argument("--replicates", type=int, default=10, help="cross-validation replicates")
+    p.add_argument("--replicates", type=_cv_replicates, default=10, help="cross-validation replicates, 0 or >= 2")
     p.add_argument("--target", choices=("auto", "decision", "outcome"), default="auto")
     p.set_defaults(func=_cmd_train, outputs=("model", "out"), seed=0)
 

@@ -53,21 +53,21 @@ def permutation_importance(m: LogisticModel, d: Dataset, threshold: float = 0.5,
     baseline = float(np.mean(decide(score_matrix(m, X), threshold) == y))
 
     # encoding is row-wise, so permuting a column's rows permutes exactly its
-    # block of design-matrix columns; a column with no block keeps the baseline
+    # block of design-matrix columns; a column with no block scores 0.0 undrawn
     bounds = np.cumsum([0] + [len(enc.column_features(c)) for c in enc.source_order])
-    blocks = {c: slice(lo, hi) for c, lo, hi in zip(enc.source_order, bounds[:-1], bounds[1:])}
+    blocks = {c: slice(lo, hi) for c, lo, hi in zip(enc.source_order, bounds[:-1], bounds[1:]) if hi > lo}
 
     columns = d.numeric_features + d.categorical_features + [d.sensitive_column]
-    importances: dict[str, float] = {}
-    for fi, name in enumerate(columns):
-        block = blocks.get(name, slice(0, 0))
-        permuted = X.copy()
-        accs = []
-        for r in range(repeats):
-            rng = CounterRng(derive_seed(derive_seed(seed, fi), r))
-            permuted[:, block] = X[rng.permutation(d.n), block]
-            accs.append(float(np.mean(decide(score_matrix(m, permuted), threshold) == y)))
-        importances[name] = baseline - float(np.mean(accs))
+    importances = dict.fromkeys(columns, 0.0)
+    for fi, name in enumerate(columns):  # each column's sub-seed follows its index, drawn or not
+        if name in blocks:
+            permuted = X.copy()
+            accs = []
+            for r in range(repeats):
+                rng = CounterRng(derive_seed(derive_seed(seed, fi), r))
+                permuted[:, blocks[name]] = X[rng.permutation(d.n), blocks[name]]
+                accs.append(float(np.mean(decide(score_matrix(m, permuted), threshold) == y)))
+            importances[name] = baseline - float(np.mean(accs))
     return PermutationImportance(
         baseline_accuracy=baseline,
         repeats=repeats,

@@ -17,7 +17,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError
-from .metrics import ContingencyTable, GroupConfusion, IntervalEstimate, base_rates, contingency, group_confusion
+from .metrics import (ContingencyTable, GroupConfusion, IntervalEstimate, base_rates, contingency, corrected_rates,
+                      group_confusion)
 from .rng import resample_blocks
 
 BOOTSTRAP_CHUNK_DRAWS = 1 << 16  # indices per chunk of replicates: 2**20 ran slower, with more RSS
@@ -80,9 +81,8 @@ def equal_opportunity_statistic(d: Dataset) -> float:
 
 
 def _di_from_counts(sums, n1, n2):
-    a, c = sums.T
-    zero = (a == 0) | (c == 0)
-    return np.where(zero, (a + 0.5) / (n1 + 1), a / n1) / np.where(zero, (c + 0.5) / (n2 + 1), c / n2)
+    p1, p2, _ = corrected_rates(*sums.T, n1, n2)
+    return p1 / p2
 
 
 def _eo_from_counts(sums, n1, n2):

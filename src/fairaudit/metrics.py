@@ -102,42 +102,41 @@ class IntervalEstimate:
             raise ValueError(f"{self.statistic}: lo {self.lo} > hi {self.hi}")
 
 
+def _group_counts(d: Dataset, code: np.ndarray, k: int, what: str) -> np.ndarray:
+    """Counts of each value 0..k-1 of a per-row code within each group: row 0 protected, row 1 the others."""
+    counts = np.bincount(code + k * ~d.protected_mask(), minlength=2 * k).reshape(2, k)
+    if not counts.sum(axis=1).all():
+        raise DataError(f"{what} requires both sensitive groups to be nonempty")
+    return counts
+
+
 def contingency(d: Dataset, positive: np.ndarray | None = None) -> ContingencyTable:
     """Count decisions by group. Both groups must be nonempty.
 
     ``positive`` is a boolean mask of positive decisions, such as a model's,
     that stands in for the dataset's decision column.
     """
-    protected = d.protected_mask()
     if positive is None:
         positive = d.positive_decision_mask()
-    n1 = int(np.count_nonzero(protected))
-    n2 = d.n - n1
-    if n1 == 0 or n2 == 0:
-        raise DataError("contingency requires both sensitive groups to be nonempty")
-    a = int(np.count_nonzero(protected & positive))
-    c = int(np.count_nonzero(~protected & positive))
-    return ContingencyTable(a=a, b=n1 - a, c=c, d=n2 - c)
+    (neg1, pos1), (neg2, pos2) = _group_counts(d, positive, 2, "contingency").tolist()
+    return ContingencyTable(a=pos1, b=neg1, c=pos2, d=neg2)
+
+
+def corrected_rates(a, c, n1, n2):
+    """Group positive rates (p1, p2, corrected) of a of n1 and c of n2, elementwise: where a or c is 0,
+    both get the +0.5/+1 zero-cell correction (x + 0.5) / (n + 1), which keeps ratios finite."""
+    corrected = (a == 0) | (c == 0)
+    p1 = np.where(corrected, (a + 0.5) / (n1 + 1), a / n1)
+    p2 = np.where(corrected, (c + 0.5) / (n2 + 1), c / n2)
+    return p1, p2, corrected
 
 
 def base_rates(t: ContingencyTable) -> GroupRates:
-    """Group positive rates, with a +0.5/+1 zero-cell correction.
-
-    When a == 0 or c == 0 both group rates become (x + 0.5) / (n_g + 1) and
-    the ``corrected`` flag is set, keeping downstream ratios finite without
-    silently altering clean data. The overall rate p is always exact.
-    """
+    """Group positive rates, zero cells corrected by ``corrected_rates``; the overall rate p is exact."""
     if t.n1 < 1 or t.n2 < 1:
         raise DataError("both groups must be nonempty")
-    if t.a == 0 or t.c == 0:
-        p1 = (t.a + 0.5) / (t.n1 + 1)
-        p2 = (t.c + 0.5) / (t.n2 + 1)
-        corrected = True
-    else:
-        p1 = t.a / t.n1
-        p2 = t.c / t.n2
-        corrected = False
-    return GroupRates(p1=p1, p2=p2, p=t.m1 / t.n, corrected=corrected)
+    p1, p2, corrected = corrected_rates(t.a, t.c, t.n1, t.n2)
+    return GroupRates(p1=float(p1), p2=float(p2), p=t.m1 / t.n, corrected=bool(corrected))
 
 
 def disparity_metrics(r: GroupRates) -> dict[str, MetricEstimate]:
@@ -235,22 +234,10 @@ class GroupConfusion:
 
 def group_confusion(d: Dataset) -> tuple[GroupConfusion, GroupConfusion]:
     """(protected, non-protected) confusion matrices of decision against outcome."""
-    protected = d.protected_mask()
     decision = d.positive_decision_mask()
     outcome = d.positive_outcome_mask()
-    if not protected.any() or protected.all():
-        raise DataError("group confusion requires both sensitive groups to be nonempty")
-
-    def counts(mask: np.ndarray) -> GroupConfusion:
-        dec, out = decision[mask], outcome[mask]
-        return GroupConfusion(
-            tp=int(np.count_nonzero(dec & out)),
-            fp=int(np.count_nonzero(dec & ~out)),
-            tn=int(np.count_nonzero(~dec & ~out)),
-            fn=int(np.count_nonzero(~dec & out)),
-        )
-
-    return counts(protected), counts(~protected)
+    counts = _group_counts(d, 2 * decision + outcome, 4, "group confusion")  # columns: tn, fn, fp, tp
+    return tuple(GroupConfusion(tp=tp, fp=fp, tn=tn, fn=fn) for tn, fn, fp, tp in counts.tolist())
 
 
 def confusion_gaps(pair: tuple[GroupConfusion, GroupConfusion]) -> dict[str, MetricEstimate]:

@@ -73,8 +73,10 @@ class FeatureEncoding:
 
 
 def _numeric_feature(d: Dataset, name: str) -> np.ndarray:
-    """A numeric feature's cells as floats, NaN where missing; an infinite cell is refused."""
-    values = np.asarray(d.values(name), dtype=np.float64)  # a column the schema leaves as text is parsed
+    """A numeric feature's cells as floats, NaN where missing; another role or an infinite cell is refused."""
+    if name in d.schema and d.schema[name].kind != NUMERIC:
+        raise DataError(f"model feature {name!r} is numeric, but the table's column {name!r} is {d.schema[name].kind}")
+    values = d.values(name)
     if np.isinf(values).any():
         raise DataError(f"numeric column {name!r} holds infinite values, which a model cannot encode")
     return values

@@ -28,14 +28,16 @@ from .errors import DataError
 class QuantileMap:
     """Empirical quantile function of one feature within one group."""
 
-    values: np.ndarray  # sorted ascending, finite
+    values: np.ndarray  # sorted ascending, finite; kept as a read-only float64 view
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values, dtype=np.float64).view()
         if len(v) < 2:
             raise DataError("a quantile map needs at least 2 values")
         if not np.isfinite(v).all() or np.any(np.diff(v) < 0):
             raise DataError("quantile map values must be sorted and finite")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     @property
     def size(self) -> int:

@@ -117,6 +117,12 @@ MUTANTS = [
      "if False:", KILLED),
     ("quantile-map-accepts-infinite", "repair.py",
      "if not np.isfinite(v).all() or", "if np.isnan(v).any() or", KILLED),
+    ("group-count-rows-swapped", "metrics.py",
+     "code + k * ~d.protected_mask()", "code + k * d.protected_mask()", KILLED),
+    ("confusion-code-weights-swapped", "metrics.py",
+     "2 * decision + outcome", "decision + 2 * outcome", KILLED),
+    ("correction-needs-both-zero-cells", "metrics.py",
+     "corrected = (a == 0) | (c == 0)", "corrected = (a == 0) & (c == 0)", KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -253,6 +254,29 @@ def test_stdout_emission(table_files, capsys):
     assert json.loads(captured.out)["verdict"]["point"] == "fail"
 
 
+def test_declaring_the_other_label_protected_swaps_the_groups(tmp_path):
+    """Declaring M protected in place of F on the hand table swaps every group pair and inverts the DI."""
+    schema = json.loads((GOLDEN / "inputs" / "hand-schema.json").read_text(encoding="utf-8"))
+    reports = []
+    for protected in ("F", "M"):
+        schema["sex"]["protected"] = protected
+        (tmp_path / f"{protected}.json").write_text(json.dumps(schema), encoding="utf-8")
+        out = tmp_path / f"audit-{protected}.json"
+        main(["audit", "--data", str(GOLDEN / "inputs" / "hand.csv"), "--schema", str(tmp_path / f"{protected}.json"),
+              "--out", str(out), "--no-timestamp"])
+        reports.append(json.loads(out.read_text(encoding="utf-8")))
+    f, m = reports
+    assert [m["contingency"][k] for k in "abcd"] == [f["contingency"][k] for k in "cdab"]
+    assert (m["confusion"]["protected"], m["confusion"]["non_protected"]) == (
+        f["confusion"]["non_protected"], f["confusion"]["protected"])
+    di_f, di_m = f["metrics"]["disparate_impact"]["value"], m["metrics"]["disparate_impact"]["value"]
+    assert (round(di_f, 4), round(di_m, 3)) == (0.6901, 1.449)
+    assert m["metrics"]["risk_difference"]["value"] == -f["metrics"]["risk_difference"]["value"]
+    ci_f, ci_m = f["intervals"]["disparate_impact"], m["intervals"]["disparate_impact"]
+    for x, y in ((ci_f["lo"], ci_m["hi"]), (ci_f["hi"], ci_m["lo"])):
+        assert abs(x * y - 1.0) <= math.ulp(1.0)
+
+
 # -- exit-code contract: malformed invocations --------------------------------------
 
 GEN = ["--data", "gen.csv", "--schema", "gen-schema.json"]
@@ -319,6 +343,10 @@ MALFORMED = [
      2, "numeric column 'age' holds infinite values"),
     ("explain-inf-cell", ["explain", *HAND_INF, "--model", "model-hand.json"], 2,
      "numeric column 'age' holds infinite values"),
+    # without a role in the schema, age loads as ignored text, with empty cells
+    ("model-numeric-feature-not-numeric", ["explain", "--data", "hand.csv", "--schema", "hand-no-age.json",
+                                           "--model", "model-hand.json"], 2,
+     "model feature 'age' is numeric, but the table's column 'age' is ignored"),
     # no decision column, so no baseline training refuses the cell first
     ("repair-infinite-cell", ["repair", "--data", "hand-inf.csv", "--schema", "hand-no-decision.json",
                               "--features", "age", "--lambda", "1", "--repaired-out", "r.csv"], 2,
@@ -374,9 +402,10 @@ def malformed_inputs(tmp_path, monkeypatch):
     lines = (GOLDEN / "inputs" / "hand.csv").read_text(encoding="utf-8").splitlines(keepends=True)
     lines[4] = "inf" + lines[4][lines[4].index(","):]
     (tmp_path / "hand-inf.csv").write_text("".join(lines), encoding="utf-8")
-    schema = json.loads((GOLDEN / "inputs" / "hand-schema.json").read_text(encoding="utf-8"))
-    del schema["hired"]
-    (tmp_path / "hand-no-decision.json").write_text(json.dumps(schema), encoding="utf-8")
+    for name, column in (("hand-no-decision.json", "hired"), ("hand-no-age.json", "age")):
+        schema = json.loads((GOLDEN / "inputs" / "hand-schema.json").read_text(encoding="utf-8"))
+        del schema[column]
+        (tmp_path / name).write_text(json.dumps(schema), encoding="utf-8")
     model_edits = {
         "bogus.json": lambda m: m["encoding"]["source_order"].insert(1, "bogus"),
         "mean-null.json": lambda m: m["encoding"]["numeric"]["age"].update(mean=None),
@@ -418,6 +447,10 @@ BOUNDS = [
     ("rule-threshold-0", ["audit", *HAND, "--threshold", "0"], 1),
     ("test-fraction-0", ["train", *HAND, "--model", "m.json", "--test-fraction", "0"], 1),
     ("test-fraction-1", ["train", *HAND, "--model", "m.json", "--test-fraction", "1"], 1),
+    ("replicates-minus-1", ["train", *HAND, "--model", "m.json", "--replicates", "-1"], 1),
+    ("replicates-0", ["train", *HAND, "--model", "m.json", "--replicates", "0"], 0),
+    ("replicates-1", ["train", *HAND, "--model", "m.json", "--replicates", "1"], 1),
+    ("replicates-2", ["train", *HAND, "--model", "m.json", "--replicates", "2"], 0),
     ("score-threshold-0", ["fliptest", *HAND, "--model", "model-hand.json", "--threshold", "0"], 1),
     ("lambda-1", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv", "--lambda", "1"], 0),
     ("lambda-minus-0", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv",

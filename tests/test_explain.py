@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import strategies as st
 from fairaudit import (
     ColumnRole, DataError, Dataset, local_surrogate, permutation_importance, predict_score, train_logistic,
 )
+from fairaudit.data import load_csv, parse_schema, read_json
 from fairaudit.model import (
-    FeatureEncoding, LogisticModel, NumericSpec, decide, predict_scores, target_mask,
+    FeatureEncoding, LogisticModel, NumericSpec, decide, load_model, predict_scores, target_mask,
 )
 from fairaudit.rng import CounterRng, derive_seed
 
 from conftest import feature_dataset
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def two_feature_dataset(n=500, seed=1):
@@ -111,6 +115,16 @@ def test_permutation_importance_bit_identical_to_reencoding(include_sensitive):
     reference = permutation_importance_reference(m, d, repeats=4, seed=3)
     assert (pi.baseline_accuracy, pi.importances) == reference
     assert pi.importances["flat"] == 0.0 and pi.importances["one"] == 0.0
+
+
+def test_unread_column_scores_exactly_zero():
+    """Three equal accuracies need not average back to the baseline, so an unread column is not permuted."""
+    schema = parse_schema(read_json(GOLDEN / "inputs" / "hand-schema.json", "schema"))
+    d = load_csv(GOLDEN / "inputs" / "hand.csv", schema)
+    m = load_model(GOLDEN / "expected" / "model-hand.json")
+    assert m.encoding.sensitive is None
+    pi = permutation_importance(m, d, repeats=3, seed=0)
+    assert pi.importances["sex"] == 0.0 and pi.importances["age"] != 0.0
 
 
 def test_permutation_importance_validates_repeats():

@@ -22,6 +22,7 @@ from fairaudit import (
     implied_false_positive_rate,
     impossibility_residual,
 )
+from fairaudit.metrics import corrected_rates
 from fairaudit.rng import CounterRng
 
 from conftest import binary_dataset, confusion_dataset
@@ -49,6 +50,69 @@ def test_contingency_empty_group_errors():
     )
     with pytest.raises(DataError, match="nonempty"):
         contingency(d)
+
+
+CONFUSION_SCHEMA = {"s": ColumnRole("sensitive", protected="P"), "y": ColumnRole("decision", positive="1"),
+                    "t": ColumnRole("outcome", positive="1")}
+
+
+def contingency_reference(d, positive=None):
+    """Counts by one boolean mask per group and one count_nonzero per cell."""
+    protected = d.protected_mask()
+    if positive is None:
+        positive = d.positive_decision_mask()
+    n1 = int(np.count_nonzero(protected))
+    n2 = d.n - n1
+    if n1 == 0 or n2 == 0:
+        raise DataError("contingency requires both sensitive groups to be nonempty")
+    a = int(np.count_nonzero(protected & positive))
+    c = int(np.count_nonzero(~protected & positive))
+    return ContingencyTable(a=a, b=n1 - a, c=c, d=n2 - c)
+
+
+def group_confusion_reference(d):
+    """Confusion counts by masking each group, then one count_nonzero per cell."""
+    protected = d.protected_mask()
+    decision = d.positive_decision_mask()
+    outcome = d.positive_outcome_mask()
+    if not protected.any() or protected.all():
+        raise DataError("group confusion requires both sensitive groups to be nonempty")
+
+    def counts(mask):
+        dec, out = decision[mask], outcome[mask]
+        return GroupConfusion(tp=int(np.count_nonzero(dec & out)), fp=int(np.count_nonzero(dec & ~out)),
+                              tn=int(np.count_nonzero(~dec & ~out)), fn=int(np.count_nonzero(~dec & out)))
+
+    return counts(protected), counts(~protected)
+
+
+def _result(f, *args):
+    try:
+        return f(*args)
+    except DataError as e:
+        return f"DataError: {e}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=30), data=st.data())
+def test_one_pass_counts_equal_the_per_mask_counts(rows, data):
+    # each label occurs once up front, so the table builds; take then may empty a group
+    s, y, t = zip((True, True, True), (False, False, False), *rows)
+    d = Dataset(CONFUSION_SCHEMA, {"s": np.where(s, "P", "N"), "y": np.where(y, "1", "0"), "t": np.where(t, "1", "0")})
+    sub = d.take(data.draw(st.lists(st.integers(0, d.n - 1), min_size=1, max_size=40)))
+    positive = np.array(data.draw(st.lists(st.booleans(), min_size=sub.n, max_size=sub.n)))
+    assert _result(contingency, sub) == _result(contingency_reference, sub)
+    assert _result(contingency, sub, positive) == _result(contingency_reference, sub, positive)
+    assert _result(group_confusion, sub) == _result(group_confusion_reference, sub)
+
+
+def test_one_pass_counts_refuse_an_emptied_group():
+    d = confusion_dataset((1, 1, 1, 1), (1, 1, 1, 1))
+    for rows in ([0, 1, 2, 3], [4, 5, 6, 7]):
+        with pytest.raises(DataError, match="^contingency requires both sensitive groups to be nonempty$"):
+            contingency(d.take(rows))
+        with pytest.raises(DataError, match="^group confusion requires both sensitive groups to be nonempty$"):
+            group_confusion(d.take(rows))
 
 
 # -- base rates --------------------------------------------------------------------
@@ -83,6 +147,18 @@ def test_base_rates_reconstruction_invariant():
 
 
 # -- disparity metrics ---------------------------------------------------------------
+
+
+def test_corrected_rates_on_count_arrays_equal_base_rates_bit_for_bit():
+    tables = [(a, n1, c, n2) for n1 in range(1, 9) for n2 in range(1, 9)
+              for a in range(n1 + 1) for c in range(n2 + 1)]
+    tables += [(0, 2**40, 3, 7), (2**40 - 1, 2**40, 2**52, 2**52 + 1)]
+    a, n1, c, n2 = (np.array(col, dtype=np.int64) for col in zip(*tables))
+    p1, p2, corrected = corrected_rates(a, c, n1, n2)
+    assert corrected.any() and not corrected.all()  # zero cells included
+    for i, (ai, n1i, ci, n2i) in enumerate(tables):
+        r = base_rates(ContingencyTable(ai, n1i - ai, ci, n2i - ci))
+        assert (p1[i].hex(), p2[i].hex(), bool(corrected[i])) == (r.p1.hex(), r.p2.hex(), r.corrected)
 
 
 def brute_force_disparity(a, b, c, d):

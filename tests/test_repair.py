@@ -348,6 +348,29 @@ def test_load_plan_rejects_sizes_and_samples_it_cannot_apply(tmp_path, edit):
         load_plan(path)
 
 
+def test_load_plan_reads_numeric_string_samples_as_numbers(tmp_path):
+    """A map keeps the float64 array it checks, read-only; a sample that is no number is refused."""
+    d = toy_dataset()
+    plan = plan_to_dict(fit_repair(d, ["x"]))
+    plan["samples"]["x"]["other"] = [str(v) for v in plan["samples"]["x"]["other"]]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    loaded = load_plan(path)
+    for qmap in loaded.maps["x"]:
+        assert qmap.values.dtype == np.float64 and not qmap.values.flags.writeable
+    assert apply_repair(loaded, d, 0.5) == apply_repair(fit_repair(d, ["x"]), d, 0.5)
+    plan["samples"]["x"]["other"][1] = "eleven"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"malformed repair plan file {path}: ValueError: ")):
+        load_plan(path)
+
+
+def test_quantile_map_leaves_the_given_array_writeable():
+    given = np.array([1.0, 2.0])
+    QuantileMap(given)
+    given[0] = 0.0  # the map holds a read-only view, not the caller's array
+
+
 def test_fit_once_apply_many():
     train = random_dataset(n=500, seed=23)
     fresh = random_dataset(n=200, seed=29)
