@@ -40,7 +40,6 @@ from .model import (
     cross_validate,
     decide,
     load_model,
-    predict_score,
     predict_scores,
     save_model,
     test_error,

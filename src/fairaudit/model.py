@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CATEGORICAL, DECISION, NUMERIC, OUTCOME, SENSITIVE, ColumnRole, Dataset, read_json, split, write_json
+from .data import CATEGORICAL, DECISION, NUMERIC, OUTCOME, Dataset, read_json, split, write_json
 from .errors import DataError
 from .rng import derive_seed
 
@@ -285,30 +285,6 @@ def predict_scores(m: LogisticModel, d: Dataset) -> np.ndarray:
     return score_matrix(m, encode(m.encoding, d))
 
 
-def predict_score(m: LogisticModel, row: dict) -> float:
-    """Probability score for one raw row; missing numerics impute to training means.
-
-    Columns absent from ``row`` or given as None are missing cells.
-    """
-    enc = m.encoding
-    schema: dict[str, ColumnRole] = {}
-    columns: dict[str, np.ndarray] = {}
-    for name in enc.source_order:
-        value = row.get(name)
-        if name in enc.numeric:
-            schema[name] = ColumnRole(NUMERIC)
-            columns[name] = np.array([np.nan if value is None else float(value)])
-            continue
-        if name in enc.categorical:
-            schema[name] = ColumnRole(CATEGORICAL)
-        else:
-            schema[name] = ColumnRole(SENSITIVE, protected=enc.sensitive.protected)
-        columns[name] = np.array(["" if value is None else str(value)])
-    # a lone row need not carry both modalities, so skip the role checks
-    row_d = Dataset._unchecked(schema, columns, 1)
-    return float(predict_scores(m, row_d)[0])
-
-
 def decide(score, threshold: float = 0.5):
     """Binary decision: positive iff score >= threshold (ties positive)."""
     if not 0.0 < threshold < 1.0:
@@ -393,9 +369,11 @@ def model_from_dict(obj: dict) -> LogisticModel:
         sensitive=SensitiveSpec(**enc_obj["sensitive"]) if enc_obj["sensitive"] else None,
         dropped=tuple(enc_obj.get("dropped", ())),
     )
-    specs = {*enc.numeric, *enc.categorical, *([enc.sensitive.name] if enc.sensitive else [])}
-    if unknown := [c for c in enc.source_order if c not in specs]:
-        raise DataError(f"encoding.source_order names {unknown} that have no spec")
+    specs = [*enc.numeric, *enc.categorical, *([enc.sensitive.name] if enc.sensitive else [])]
+    if twice := sorted({c for c in specs if specs.count(c) > 1}):
+        raise DataError(f"encoding names {twice} under more than one kind")
+    if sorted(enc.source_order) != sorted(specs):
+        raise DataError(f"encoding.source_order {list(enc.source_order)} must name each of {sorted(specs)} once")
     if bad := [k for k, v in enc.numeric.items() if not (math.isfinite(v.mean) and 0.0 < v.sd < math.inf)]:
         raise DataError(f"encoding.numeric {bad} need a finite mean and a finite sd > 0")
     weights = np.asarray(obj["weights"], dtype=np.float64)

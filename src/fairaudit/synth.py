@@ -156,6 +156,8 @@ def generate(spec: GeneratorSpec) -> tuple[Dataset, float]:
     rng = CounterRng(spec.seed)
     n = spec.n
     protected = rng.uniforms(n) < spec.protected_fraction
+    if protected.all() or not protected.any():
+        raise DataError(f"the n={n} rows drawn with seed {spec.seed} hold one sensitive group, not both")
     x = rng.normals(2 * n).reshape(n, 2)
     mu = np.where(protected[:, None], spec.mu_protected, spec.mu_other)
     x = x + mu

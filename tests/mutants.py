@@ -123,6 +123,20 @@ MUTANTS = [
      "2 * decision + outcome", "decision + 2 * outcome", KILLED),
     ("correction-needs-both-zero-cells", "metrics.py",
      "corrected = (a == 0) | (c == 0)", "corrected = (a == 0) & (c == 0)", KILLED),
+    ("flip-indicator-off-by-one", "audit.py",
+     "order[:order.index(enc.sensitive.name)]", "order[:order.index(enc.sensitive.name) + 1]", KILLED),
+    ("flip-not-applied", "audit.py",
+     "flipped[:, j] = 1.0 - X[:, j]", "flipped[:, j] = X[:, j]", KILLED),
+    ("flip-sensitive-column-unchecked", "audit.py",
+     "if s.name != d.sensitive_column:", "if False:", KILLED),
+    ("flip-protected-label-unchecked", "audit.py",
+     "if not (d.values(s.name) == s.protected).any() and", "if False and", KILLED),
+    ("model-file-kind-twice-accepted", "model.py",
+     "if twice := sorted({c for c in specs if specs.count(c) > 1}):", "if twice := []:", KILLED),
+    ("model-file-source-order-unchecked", "model.py",
+     "if sorted(enc.source_order) != sorted(specs):", "if False:", KILLED),
+    ("synth-one-group-accepted", "synth.py",
+     "if protected.all() or not protected.any():", "if False:", KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

@@ -208,7 +208,7 @@ def test_criterion_11_explanation_sanity():
 
     row = int(np.argmin(np.abs(x - np.mean(x))))
     ls = fa.local_surrogate(m, row, d, n_samples=3000, seed=0)
-    score = fa.predict_score(m, {"x": float(x[row]), "z": float(z[row])})
+    score = fa.predict_scores(m, d.take([row]))[0]
     derivative = score * (1 - score) * 1.0 / enc.numeric["x"].sd
     assert abs(ls.coefficients["x"] - derivative) <= 0.10 * abs(derivative)
     _pass(11, "zero-weight importance < 0.01; surrogate slope within 10% of the "

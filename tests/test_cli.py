@@ -277,6 +277,28 @@ def test_declaring_the_other_label_protected_swaps_the_groups(tmp_path):
         assert abs(x * y - 1.0) <= math.ulp(1.0)
 
 
+def test_fliptest_of_the_protected_rows_alone_flips_as_in_the_whole_table(tmp_path):
+    model = json.loads((GOLDEN / "expected" / "model-hand.json").read_text(encoding="utf-8"))
+    add_sex_indicator(model)
+    (tmp_path / "m.json").write_text(json.dumps(model), encoding="utf-8")
+    rows = list(csv.reader(io.StringIO((GOLDEN / "inputs" / "hand.csv").read_text(encoding="utf-8"))))
+    sex = rows[0].index("sex")
+    protected = [i for i, row in enumerate(rows[1:]) if row[sex] == "F"]
+    with open(tmp_path / "f.csv", "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows([rows[0], *(rows[1 + i] for i in protected)])
+    flips = []
+    for data in (GOLDEN / "inputs" / "hand.csv", tmp_path / "f.csv"):
+        out = tmp_path / "flips.json"
+        assert main(["fliptest", "--data", str(data), "--schema", str(GOLDEN / "inputs" / "hand-schema.json"),
+                     "--model", str(tmp_path / "m.json"), "--out", str(out), "--no-timestamp"]) == 0
+        flips.append(json.loads(out.read_text(encoding="utf-8"))["fliptest"])
+    whole, part = flips
+    assert part["n"] == len(protected) == 115
+    assert part["to_positive"] == [k for k, i in enumerate(protected) if i in whole["to_positive"]]
+    assert part["to_negative"] == [k for k, i in enumerate(protected) if i in whole["to_negative"]] == []
+    assert part["flips_to_positive"] > 0  # swapping the table's labels finds none: it holds one label
+
+
 # -- exit-code contract: malformed invocations --------------------------------------
 
 GEN = ["--data", "gen.csv", "--schema", "gen-schema.json"]
@@ -371,6 +393,24 @@ MALFORMED = [
     ("rule-threshold-out-of-range", ["audit", *GEN, "--threshold", "1.5"], 1, "(0, 1]"),
     ("score-threshold-out-of-range", ["fliptest", *GEN, "--model", "m.json",
                                       "--threshold", "1"], 1, "(0, 1)"),
+    # the flip is defined by the model's indicator, so a table that does not match it is refused
+    ("fliptest-model-of-another-sensitive-column", ["fliptest", "--data", "hand.csv", "--schema", "perf-schema.json",
+                                                    "--model", "sex.json"], 2,
+     "the model's sensitive column 'sex' is not the table's, 'performed'"),
+    ("fliptest-protected-label-on-no-row", ["fliptest", "--data", "fm.csv", "--schema", "fm-schema.json",
+                                            "--model", "sex.json"], 2,
+     "no row has the model's protected label 'F', but 'sex' holds ['female', 'male']"),
+    ("audit-model-protected-label-on-no-row", ["audit", "--data", "fm.csv", "--schema", "fm-schema.json",
+                                               "--model", "sex.json"], 2,
+     "no row has the model's protected label 'F', but 'sex' holds ['female', 'male']"),
+    ("model-column-under-two-kinds", ["fliptest", *HAND, "--model", "sex-twice.json"], 2,
+     "malformed model file sex-twice.json: DataError: encoding names ['sex'] under more than one kind"),
+    ("model-sensitive-not-in-source-order", ["fliptest", *HAND, "--model", "sex-unordered.json"], 2,
+     "malformed model file sex-unordered.json: DataError: encoding.source_order"),
+    ("synth-one-row", ["synth", "--n", "1", "--data", "o.csv"], 2,
+     "the n=1 rows drawn with seed 0 hold one sensitive group, not both"),
+    ("synth-one-group", ["synth", "--n", "3", "--seed", "1", "--protected-fraction", "0.99", "--data", "o.csv"], 2,
+     "the n=3 rows drawn with seed 1 hold one sensitive group, not both"),
     ("missing-data", ["audit", "--schema", "gen-schema.json"], 1, "--data"),
     ("missing-synth-data", ["synth", "--n", "20"], 1, "--data"),
     ("missing-schema", ["validate", "--data", "gen.csv"], 1, "--schema"),
@@ -379,6 +419,13 @@ MALFORMED = [
     ("synth-takes-no-schema", ["synth", "--data", "o.csv", "--schema", "gen-schema.json"],
      1, "--schema"),
 ]
+
+
+def add_sex_indicator(model: dict, weight: float = -1.5) -> None:
+    """Make a hand-table model file group-aware: an indicator of sex == F, last in the design matrix."""
+    model["encoding"]["sensitive"] = {"name": "sex", "protected": "F"}
+    model["encoding"]["source_order"].append("sex")
+    model["weights"].append(weight)
 
 
 @pytest.fixture()
@@ -406,6 +453,17 @@ def malformed_inputs(tmp_path, monkeypatch):
         schema = json.loads((GOLDEN / "inputs" / "hand-schema.json").read_text(encoding="utf-8"))
         del schema[column]
         (tmp_path / name).write_text(json.dumps(schema), encoding="utf-8")
+    schema = json.loads((GOLDEN / "inputs" / "hand-schema.json").read_text(encoding="utf-8"))
+    edits = {"perf-schema.json": {"sex": "categorical", "performed": {"role": "sensitive", "protected": "yes"}},
+             "fm-schema.json": {"sex": {"role": "sensitive", "protected": "female"}}}
+    for name, edit in edits.items():
+        (tmp_path / name).write_text(json.dumps({**schema, **edit}), encoding="utf-8")
+    rows = list(csv.reader(io.StringIO((GOLDEN / "inputs" / "hand.csv").read_text(encoding="utf-8"))))
+    sex = rows[0].index("sex")
+    for row in rows[1:]:
+        row[sex] = {"F": "female", "M": "male"}[row[sex]]
+    with open(tmp_path / "fm.csv", "w", encoding="utf-8", newline="") as f:
+        csv.writer(f).writerows(rows)
     model_edits = {
         "bogus.json": lambda m: m["encoding"]["source_order"].insert(1, "bogus"),
         "mean-null.json": lambda m: m["encoding"]["numeric"]["age"].update(mean=None),
@@ -415,6 +473,12 @@ def malformed_inputs(tmp_path, monkeypatch):
         # positive and finite, so the file loads, but age standardizes to infinite values
         "sd-subnormal.json": lambda m: m["encoding"]["numeric"]["age"].update(sd=5e-324),
         "nested.json": lambda m: m.update(weights=[[w] for w in m["weights"]]),
+        "sex.json": add_sex_indicator,
+        # the file of a group-aware model with sex also declared categorical: encode would read it as sex=M
+        "sex-twice.json": lambda m: (add_sex_indicator(m), m["encoding"]["categorical"].update(
+            sex={"name": "sex", "modalities": ["F", "M"]})),
+        # a sensitive spec that source_order leaves out: no indicator column to flip
+        "sex-unordered.json": lambda m: m["encoding"].update(sensitive={"name": "sex", "protected": "F"}),
     }
     for name, edit in model_edits.items():
         model = json.loads((GOLDEN / "expected" / "model-hand.json").read_text(encoding="utf-8"))

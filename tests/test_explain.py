@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import (
-    ColumnRole, DataError, Dataset, local_surrogate, permutation_importance, predict_score, train_logistic,
+    ColumnRole, DataError, Dataset, local_surrogate, permutation_importance, train_logistic,
 )
 from fairaudit.data import load_csv, parse_schema, read_json
 from fairaudit.model import (
@@ -145,7 +145,7 @@ def test_surrogate_slope_matches_analytic_derivative():
     enc_z = (d.values("z") - m.encoding.numeric["z"].mean) / m.encoding.numeric["z"].sd
     row = int(np.argmin(enc_x**2 + enc_z**2))
     ls = local_surrogate(m, row, d, n_samples=3000, seed=0)
-    score = predict_score(m, {"x": float(d.values("x")[row]), "z": float(d.values("z")[row])})
+    score = predict_scores(m, d.take([row]))[0]
     for name, w in (("x", 1.0), ("z", 0.4)):
         derivative = score * (1 - score) * w / m.encoding.numeric[name].sd
         assert ls.coefficients[name] == pytest.approx(derivative, rel=0.10)

@@ -15,7 +15,6 @@ from fairaudit import (
     cross_validate,
     decide,
     load_csv,
-    predict_score,
     predict_scores,
     train_logistic,
 )
@@ -33,6 +32,7 @@ from fairaudit.model import (
     loss_and_gradient,
     model_from_dict,
     model_to_dict,
+    score_matrix,
     sigmoid,
 )
 from fairaudit.rng import CounterRng
@@ -126,7 +126,7 @@ def test_encoding_unknown_modality_warns_and_zero_codes():
     m = train_logistic(d)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        score = predict_score(m, {"x": 1.0})
+        score = predict_scores(m, d.take([10]))[0]  # the row with x = 1.0
     assert 0.0 < score < 1.0
 
 
@@ -333,20 +333,24 @@ def test_needs_enough_rows():
 # -- prediction -----------------------------------------------------------------------
 
 
-def test_predict_score_zero_model_is_half():
+# hand_model's design matrix is the one indicator column s == "a"
+
+
+def test_score_matrix_zero_model_is_half():
     m = hand_model(0.0, 0.0)
-    assert predict_score(m, {"s": "a"}) == 0.5
+    assert score_matrix(m, np.array([[1.0]]))[0] == 0.5
 
 
-def test_predict_score_worked_value():
+def test_score_matrix_worked_value():
     m = hand_model(4.0, -2.0)
-    assert predict_score(m, {"s": "a"}) == pytest.approx(1 / (1 + math.exp(-2)))
-    assert predict_score(m, {"s": "b"}) == pytest.approx(1 / (1 + math.exp(2)))
+    a, b = score_matrix(m, np.array([[1.0], [0.0]]))
+    assert a == pytest.approx(1 / (1 + math.exp(-2)))
+    assert b == pytest.approx(1 / (1 + math.exp(2)))
 
 
-def test_predict_score_stable_underflow():
+def test_score_matrix_stable_underflow():
     m = hand_model(-600.0, 0.0)
-    score = predict_score(m, {"s": "a"})
+    score = score_matrix(m, np.array([[1.0]]))[0]
     assert 0.0 < score < 1e-200 and math.isfinite(score)
 
 
@@ -362,7 +366,8 @@ def test_predict_monotone_in_positive_weight_feature():
     d = separable_toy()
     m = train_logistic(d)
     xs = np.linspace(-3, 3, 21)
-    scores = [predict_score(m, {"x": float(v)}) for v in xs]
+    grid = feature_dataset(xs, np.resize(["0", "1"], len(xs)), np.resize(["a", "b"], len(xs)))
+    scores = predict_scores(m, grid)
     assert all(b > a for a, b in zip(scores, scores[1:]))
 
 
@@ -482,20 +487,3 @@ def test_load_model_rejects_malformed_files(tmp_path):
         path.write_text(json.dumps(content), encoding="utf-8")
         with pytest.raises(DataError, match="malformed model file"):
             load_model(path)
-
-
-def test_predict_score_agrees_with_predict_scores_row_by_row():
-    rng = CounterRng(4)
-    n = 60
-    x = rng.normals(n)
-    x[[3, 17]] = np.nan
-    region = np.array(["east", "north", "west"])[(rng.uniforms(n) * 3).astype(int)]
-    s = np.where(rng.uniforms(n) < 0.5, "a", "b")
-    y = np.where(x + (s == "a") > 0.2, "1", "0")
-    schema = {"x": ColumnRole("numeric"), "r": ColumnRole("categorical"),
-              "s": ColumnRole("sensitive", protected="a"), "y": ColumnRole("decision", positive="1")}
-    d = Dataset(schema, {"x": x, "r": region, "s": s, "y": y})
-    m = train_logistic(d, include_sensitive=True)
-    for i in range(n):
-        row = {"x": None if np.isnan(x[i]) else float(x[i]), "r": str(region[i]), "s": str(s[i])}
-        assert predict_score(m, row) == predict_scores(m, d.take([i]))[0]
