@@ -85,6 +85,24 @@ def _cv_replicates(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be 0 (no cross-validation) or at least 2, got {text!r}")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if int(text) >= low:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+    return parse
+
+
+def _kernel_width(text: str) -> float:
+    """argparse type: a float that is not <= 0; NaN is left to the surrogate's check (exit 2)."""
+    with contextlib.suppress(ValueError):
+        if not float(text) <= 0.0:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "yes" if v else "no"
@@ -312,8 +330,8 @@ def _cmd_explain(args, d: Dataset) -> dict:
                                 repeats=args.replicates, seed=args.seed)
     report: dict = {"explain": {"permutation_importance": asdict(pi)}}
     if args.row is not None:
-        samples = 1000 if args.samples is None else args.samples  # not "or": 0 samples is refused
-        ls = local_surrogate(m, args.row, d, n_samples=samples, kernel_width=args.kernel_width, seed=args.seed)
+        ls = local_surrogate(m, args.row, d, n_samples=args.samples or 1000, kernel_width=args.kernel_width,
+                             seed=args.seed)
         report["explain"]["local_surrogate"] = asdict(ls)
     return report
 
@@ -408,17 +426,19 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("explain", help="permutation importance and local surrogate")
     common(p, model=True)
-    p.add_argument("--row", type=int, help="row index for the local surrogate")
-    p.add_argument("--replicates", type=int, default=10, help="permutation repeats")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--row", type=_int_at_least(0), help="row index for the local surrogate")
+    p.add_argument("--replicates", type=_int_at_least(1), default=10, help="permutation repeats")
+    # at least 10 per numeric feature the model reads, and it reads one or more
+    p.add_argument("--samples", type=_int_at_least(10), default=None,
                    help="surrogate perturbations (default 1000; needs --row)")
-    p.add_argument("--kernel-width", type=float, default=None, help="surrogate kernel width (needs --row)")
+    p.add_argument("--kernel-width", type=_kernel_width, default=None,
+                   help="surrogate kernel width (needs --row)")
     p.set_defaults(func=_cmd_explain, seed=0)
 
     p = sub.add_parser("synth", help="generate synthetic data with known disparity")
     common(p, schema=False, decision_threshold=False)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--protected-fraction", type=float, default=None)
+    p.add_argument("--n", type=_int_at_least(1), default=None)
+    p.add_argument("--protected-fraction", type=_fraction, default=None)
     p.add_argument("--group-bias", type=float, default=None)
     p.add_argument("--target-di", type=float, default=None,
                    help="solve the group bias so the exact DI hits this value")

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -34,7 +35,7 @@ IGNORED = "ignored"
 ROLE_KINDS = (NUMERIC, CATEGORICAL, SENSITIVE, DECISION, OUTCOME, IGNORED)
 _BINARY_KINDS = (SENSITIVE, DECISION, OUTCOME)
 READ_CHUNK_ROWS = 4096  # rows that load_csv turns into column arrays at once
-WRITE_CHUNK_ROWS = 8192  # rows that save_csv formats per writerows call
+WRITE_CHUNK_ROWS = 8192  # rows that save_csv formats per write call
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,9 @@ def load_csv(path: str | Path, schema: Mapping[str, object]) -> Dataset:
     """Load an RFC 4180 CSV (header row required) against a role declaration.
 
     Columns present in the file but absent from the schema are kept with the
-    ``ignored`` role. Empty cells are missing values.
+    ``ignored`` role. Empty cells are missing values. numpy's C tokenizer reads
+    the rows (``_read_columns``); a file it cannot vouch for is read again by
+    the csv module, whose reading decides every error.
     """
     path = Path(path)
     if not path.exists():
@@ -315,27 +318,105 @@ def load_csv(path: str | Path, schema: Mapping[str, object]) -> Dataset:
                 raise SchemaError(f"{path}: schema names {unknown} not in header {header}")
             full_schema = {name: roles.get(name, ColumnRole(IGNORED)) for name in header}
             numeric = [role.kind == NUMERIC for role in full_schema.values()]
-
-            # column-wise, a chunk of rows at a time: the row lists die with their chunk
-            parts: list[list[np.ndarray]] = [[] for _ in header]
-            first_row = 2  # record number of the chunk's first row; the header is row 1
-            while rows := list(islice(reader, READ_CHUNK_ROWS)):
-                try:
-                    if set(map(len, rows)) != {len(header)}:
-                        raise ValueError  # a ragged chunk: the row scan names the record
-                    cols = [np.array([float(c) if c else np.nan for c in cells]) if is_num
-                            else np.array(cells, dtype=str)
-                            for cells, is_num in zip(zip(*rows), numeric)]
-                except ValueError:
-                    _raise_first_bad_row(path, header, numeric, rows, first_row)
-                for part, col in zip(parts, cols):
-                    part.append(col)
-                first_row += len(rows)
+            # a pipe cannot be read twice, so the csv module reads it
+            columns = _read_columns(fh, numeric) if fh.seekable() else None
+            if columns is None:  # the csv module reads the records, and names the first bad one
+                if fh.seekable():
+                    fh.seek(0)
+                    reader = csv.reader(fh)
+                    next(reader)
+                columns = _read_records(path, reader, header, numeric)
         except csv.Error as e:
             raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+    return Dataset(full_schema, dict(zip(header, columns)))
+
+
+def _recorded(first: str, fh, lines: list[str]):
+    """``first`` and then the lines of ``fh``, each appended to ``lines`` as it passes."""
+    for line in chain([first], fh):
+        lines.append(line)
+        yield line
+
+
+def _read_columns(fh, numeric: list[bool]) -> list[np.ndarray] | None:
+    """The columns of the rows left in ``fh``, read by ``np.loadtxt`` a chunk of rows at a time.
+
+    Numeric cells are read as bytes and cast by ``float`` (an empty cell is NaN),
+    text cells at a fixed width and narrowed to the chunk's longest. A chunk
+    with a cell that fills the width is read again from its lines, that column
+    as str objects from then on. None where the csv module must decide: a
+    ragged record, a blank line, an undecodable byte, a NUL, a cell that is not
+    a number or reaches the csv field limit, or no data row at all.
+    """
+    kinds = ["S32" if is_num else "U32" for is_num in numeric]
+    parts: list[list[np.ndarray]] = [[] for _ in numeric]
+    with warnings.catch_warnings():
+        # loadtxt skips a blank line with this warning, where csv.reader yields an empty record
+        warnings.simplefilter("error", UserWarning)
+        try:
+            # peek, so that a file of whole chunks ends without an empty loadtxt call
+            while (line := next(fh, None)) is not None:
+                lines: list[str] = []
+                cols = _loadtxt(_recorded(line, fh, lines), kinds, max_rows=READ_CHUNK_ROWS)
+                if "\x00" in "".join(lines):
+                    return None  # a fixed-width cell drops a trailing NUL, which float() refuses
+                widths = [0 if col.dtype == object else _width(col) for col in cols]
+                if max(widths, default=0) >= 32:  # a cell that fills its field may have been cut
+                    kinds = ["O" if w >= 32 else kind for kind, w in zip(kinds, widths)]
+                    cols = _loadtxt(lines, kinds)
+                for part, col, is_num, width in zip(parts, cols, numeric, widths):
+                    if col.dtype == object and max(map(len, col)) >= csv.field_size_limit():
+                        return None
+                    if is_num:  # float() casts each cell, and an empty cell is NaN
+                        col = col.astype(bytes, copy=False)
+                        col = np.where(col == b"", b"nan", col).astype(np.float64)
+                    elif col.dtype != object:
+                        col = col.astype(f"U{max(width, 1)}")  # as np.array(cells, dtype=str) holds them
+                    part.append(col)
+        except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
+            return None
+    return [np.concatenate(part) for part in parts] if parts and parts[0] else None
+
+
+def _width(col: np.ndarray) -> int:
+    """The longest cell of a fixed-width field. No cell holds a NUL, so the character positions
+    that some cell fills are a prefix of the field's; bisect for its end (np.char.str_len over
+    the strided field takes about three times as long)."""
+    chars = col[:, None].view(np.uint8 if col.dtype.kind == "S" else np.uint32)
+    lo, hi = 0, chars.shape[1]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if chars[:, mid].any() else (lo, mid)
+    return lo
+
+
+def _loadtxt(lines, kinds: list[str], max_rows: int | None = None) -> list[np.ndarray]:
+    """The records of ``lines`` as read by numpy's C tokenizer: one array per column, of ``kinds``."""
+    chunk = np.loadtxt(lines, dtype=[(f"f{i}", kind) for i, kind in enumerate(kinds)],
+                       delimiter=",", quotechar='"', comments=None, ndmin=1, max_rows=max_rows)
+    return [chunk[name] for name in chunk.dtype.names]
+
+
+def _read_records(path: Path, reader, header: list[str], numeric: list[bool]) -> list[np.ndarray]:
+    """The columns of the records left in ``reader``, a chunk of records at a time."""
+    # column-wise, a chunk of rows at a time: the row lists die with their chunk
+    parts: list[list[np.ndarray]] = [[] for _ in header]
+    first_row = 2  # record number of the chunk's first row; the header is row 1
+    while rows := list(islice(reader, READ_CHUNK_ROWS)):
+        try:
+            if set(map(len, rows)) != {len(header)}:
+                raise ValueError  # a ragged chunk: the row scan names the record
+            cols = [np.array([float(c) if c else np.nan for c in cells]) if is_num
+                    else np.array(cells, dtype=str)
+                    for cells, is_num in zip(zip(*rows), numeric)]
+        except ValueError:
+            _raise_first_bad_row(path, header, numeric, rows, first_row)
+        for part, col in zip(parts, cols):
+            part.append(col)
+        first_row += len(rows)
     if first_row == 2:
         raise DataError(f"{path}: no data rows")
-    return Dataset(full_schema, {name: np.concatenate(part) for name, part in zip(header, parts)})
+    return [np.concatenate(part) for part in parts]
 
 
 def _raise_first_bad_row(path: Path, header: list[str], numeric: list[bool],
@@ -355,20 +436,35 @@ def _raise_first_bad_row(path: Path, header: list[str], numeric: list[bool],
 
 
 def save_csv(d: Dataset, path: str | Path) -> None:
-    """Write the dataset back out; numeric cells use shortest round-trip repr."""
+    """Write the dataset back out; numeric cells use shortest round-trip repr.
+
+    The bytes are the csv module's (QUOTE_MINIMAL, CRLF line ends): a text
+    cell is quoted, each ``"`` doubled, when it holds ``,``, ``"``, CR or LF, and
+    a one-column row whose cell is empty is written ``""``.
+    """
     path = Path(path)
     names = list(d.schema)
     numeric = [d.schema[n].kind == NUMERIC for n in names]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
+        csv.writer(fh).writerow(names)
         # column-wise formatting, a chunk of rows at a time to bound memory
         for start in range(0, d.n, WRITE_CHUNK_ROWS):
             cols = []
             for name, is_num in zip(names, numeric):
                 cells = d.values(name)[start:start + WRITE_CHUNK_ROWS].tolist()
-                cols.append(["" if v != v else repr(v) for v in cells] if is_num else cells)
-            writer.writerows(zip(*cols))
+                if is_num:  # a float's repr holds no character that needs quotes
+                    cells = ["" if v != v else repr(v) for v in cells]
+                elif _needs_quotes("".join(cells)):
+                    cells = ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in cells]
+                cols.append(cells)
+            if len(cols) == 1:
+                cols[0] = [c or '""' for c in cols[0]]
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cols)))
+
+
+def _needs_quotes(text: str) -> bool:
+    """Whether a QUOTE_MINIMAL csv writer of the default dialect quotes a cell holding ``text``."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
 
 # -- splitting / validation -----------------------------------------------------

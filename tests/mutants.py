@@ -137,6 +137,20 @@ MUTANTS = [
      "if sorted(enc.source_order) != sorted(specs):", "if False:", KILLED),
     ("synth-one-group-accepted", "synth.py",
      "if protected.all() or not protected.any():", "if False:", KILLED),
+    ("csv-nul-unchecked", "data.py",
+     'if "\\x00" in "".join(lines):', "if False:", KILLED),
+    ("csv-empty-numeric-cell-zero", "data.py",
+     'np.where(col == b"", b"nan", col)', 'np.where(col == b"", b"0", col)', KILLED),
+    ("csv-width-bound-unchecked", "data.py",
+     "if max(widths, default=0) >= 32:", "if False:", KILLED),
+    ("csv-width-one-short", "data.py",
+     "    return lo\n", "    return max(lo - 1, 0)\n", KILLED),
+    ("csv-field-limit-unchecked", "data.py",
+     "if col.dtype == object and max(map(len, col)) >= csv.field_size_limit():", "if False:", KILLED),
+    ("csv-warned-chunk-kept", "data.py",
+     'warnings.simplefilter("error", UserWarning)', 'warnings.simplefilter("ignore", UserWarning)', KILLED),
+    ("csv-write-cr-unquoted", "data.py",
+     """'"' in text or "\\r" in text""", """'"' in text""", KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

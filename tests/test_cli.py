@@ -356,7 +356,7 @@ MALFORMED = [
                                   "--kernel-width", "nan"], 2, "kernel width must be positive, got nan"),
     ("explain-kernel-width-without-row", ["explain", *HAND, "--model", "model-hand.json",
                                           "--kernel-width", "nan"], 2, "--row"),
-    ("explain-samples-without-row", ["explain", *HAND, "--model", "model-hand.json", "--samples", "5"],
+    ("explain-samples-without-row", ["explain", *HAND, "--model", "model-hand.json", "--samples", "50"],
      2, "--row"),
     ("train-inf-cell", ["train", *HAND_INF, "--model", "m.json"], 2,
      "numeric column 'age' holds infinite values"),
@@ -411,6 +411,15 @@ MALFORMED = [
      "the n=1 rows drawn with seed 0 hold one sensitive group, not both"),
     ("synth-one-group", ["synth", "--n", "3", "--seed", "1", "--protected-fraction", "0.99", "--data", "o.csv"], 2,
      "the n=3 rows drawn with seed 1 hold one sensitive group, not both"),
+    # each of these sends numpy's reader back to the csv module, whose message names the record
+    ("csv-nul-in-numeric-cell", ["validate", "--data", "nul.csv", "--schema", "hand-schema.json"], 2,
+     "nul.csv: row 3, column 'age': cannot parse '47.8\\x00' as a number"),
+    ("csv-not-utf8", ["validate", "--data", "latin1.csv", "--schema", "hand-schema.json"], 2,
+     "'utf-8' codec can't decode byte 0xe9 in position 7531: invalid continuation byte"),
+    ("csv-blank-line-after-row-5000", ["audit", "--data", "blank.csv", "--schema", "hand-schema.json"], 2,
+     "blank.csv: row 5002 has 0 fields, expected 7"),
+    ("csv-ragged-row-after-row-5000", ["audit", "--data", "ragged.csv", "--schema", "hand-schema.json"], 2,
+     "ragged.csv: row 5002 has 8 fields, expected 7"),
     ("missing-data", ["audit", "--schema", "gen-schema.json"], 1, "--data"),
     ("missing-synth-data", ["synth", "--n", "20"], 1, "--data"),
     ("missing-schema", ["validate", "--data", "gen.csv"], 1, "--schema"),
@@ -447,6 +456,14 @@ def malformed_inputs(tmp_path, monkeypatch):
         shutil.copy(GOLDEN / "inputs" / name, tmp_path / name)
     shutil.copy(GOLDEN / "expected" / "model-hand.json", tmp_path / "model-hand.json")
     lines = (GOLDEN / "inputs" / "hand.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (tmp_path / "nul.csv").write_text("".join([*lines[:2], lines[2].replace("47.8", "47.8\x00", 1), *lines[3:]]),
+                                      encoding="utf-8")
+    (tmp_path / "latin1.csv").write_bytes(
+        "".join([*lines[:200], "34.6,43.17,south,M,yes,yes,café\n", *lines[200:]]).encode("latin-1"))
+    body = lines[1:] * 25  # 6000 rows: the bad record is in the second chunk
+    (tmp_path / "blank.csv").write_text("".join([lines[0], *body[:5000], "\n", *body[5000:]]), encoding="utf-8")
+    (tmp_path / "ragged.csv").write_text(
+        "".join([lines[0], *body[:5000], body[5000].rstrip("\n") + ",extra\n", *body[5001:]]), encoding="utf-8")
     lines[4] = "inf" + lines[4][lines[4].index(","):]
     (tmp_path / "hand-inf.csv").write_text("".join(lines), encoding="utf-8")
     for name, column in (("hand-no-decision.json", "hired"), ("hand-no-age.json", "age")):
@@ -521,6 +538,27 @@ BOUNDS = [
                         "--lambda", "-0.0"], 0),
     ("lambda-above-1", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv",
                         "--lambda", "1.0000000000000002"], 2),
+    ("explain-replicates-0", ["explain", *HAND, "--model", "model-hand.json", "--replicates", "0"], 1),
+    ("explain-replicates-1", ["explain", *HAND, "--model", "model-hand.json", "--replicates", "1"], 0),
+    ("explain-row-minus-1", ["explain", *HAND, "--model", "model-hand.json", "--row", "-1"], 1),
+    ("explain-row-0", ["explain", *HAND, "--model", "model-hand.json", "--row", "0"], 0),
+    ("explain-row-n", ["explain", *HAND, "--model", "model-hand.json", "--row", "240"], 2),  # n is data
+    ("explain-samples-9", ["explain", *HAND, "--model", "model-hand.json", "--row", "0", "--samples", "9"], 1),
+    # 10 passes the flag's bound; the hand model reads two numeric features, so it needs 20
+    ("explain-samples-10", ["explain", *HAND, "--model", "model-hand.json", "--row", "0", "--samples", "10"], 2),
+    ("explain-samples-20", ["explain", *HAND, "--model", "model-hand.json", "--row", "0", "--samples", "20"], 0),
+    ("explain-kernel-width-minus-1", ["explain", *HAND, "--model", "model-hand.json", "--row", "0",
+                                      "--kernel-width", "-1"], 1),
+    ("explain-kernel-width-0", ["explain", *HAND, "--model", "model-hand.json", "--row", "0",
+                                "--kernel-width", "0"], 1),
+    ("explain-kernel-width-1", ["explain", *HAND, "--model", "model-hand.json", "--row", "0",
+                                "--kernel-width", "1"], 0),
+    ("synth-n-0", ["synth", "--n", "0", "--data", "o.csv"], 1),
+    ("synth-n-1", ["synth", "--n", "1", "--data", "o.csv"], 2),  # one row holds one group
+    ("synth-n-2", ["synth", "--n", "2", "--data", "o.csv"], 0),
+    ("synth-protected-fraction-0", ["synth", "--n", "20", "--protected-fraction", "0", "--data", "o.csv"], 1),
+    ("synth-protected-fraction-1", ["synth", "--n", "20", "--protected-fraction", "1", "--data", "o.csv"], 1),
+    ("synth-protected-fraction-1.5", ["synth", "--n", "20", "--protected-fraction", "1.5", "--data", "o.csv"], 1),
 ]
 
 

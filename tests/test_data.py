@@ -1,4 +1,8 @@
 import csv
+import json
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from fairaudit.rng import CounterRng
 
 from conftest import binary_dataset
 
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 SCHEMA = {
     "x": {"role": "numeric"},
     "s": {"role": "sensitive", "protected": "0"},
@@ -154,6 +159,42 @@ def test_save_csv_bytes_match_per_row_reference(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+# cells that test every quoting rule: commas, quotes, CR, LF, edge spaces, empties, non-ASCII
+_WRITE_TEXTS = st.text(st.sampled_from(['a', ' ', ',', '"', '\r', '\n', 'é', '東', '😀']), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_save_csv_bytes_match_csv_writer(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 30))
+    names = data.draw(st.permutations(["x", "c", "note", "s"]))[:data.draw(st.integers(1, 4))]
+    if "s" not in names:
+        names[0] = "s"
+    labels = data.draw(st.lists(_WRITE_TEXTS.filter(bool), min_size=1, max_size=2, unique=True))
+    columns = {
+        "x": data.draw(st.lists(st.floats(), min_size=n, max_size=n)),
+        "c": data.draw(st.lists(_WRITE_TEXTS, min_size=n, max_size=n)),
+        "note": data.draw(st.lists(_WRITE_TEXTS, min_size=n, max_size=n)),
+        "s": data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)),
+    }
+    roles = {"x": ColumnRole("numeric"), "c": ColumnRole("categorical"), "note": ColumnRole("ignored"),
+             "s": ColumnRole("sensitive", protected=columns["s"][0])}
+    d = Dataset({name: roles[name] for name in names}, {name: columns[name] for name in names})
+    out = tmp_path_factory.mktemp("write")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "WRITE_CHUNK_ROWS", data.draw(st.integers(1, 8)))
+        save_csv(d, out / "new.csv")
+    save_csv_reference(d, out / "ref.csv")
+    assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+def test_save_csv_writes_an_empty_one_column_cell_quoted(tmp_path):
+    d = Dataset({"s": ColumnRole("sensitive", protected="P")}, {"s": ["P", "N"]}).with_values("s", ["P", ""])
+    save_csv(d, tmp_path / "new.csv")
+    save_csv_reference(d, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes() == b's\r\nP\r\n""\r\n'
+
+
 # any text a UTF-8 CSV can carry: no lone surrogates, no NUL
 _cell_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                      max_size=6)
@@ -251,6 +292,13 @@ def load_csv_reference(path, schema):
     return Dataset(full_schema, columns)
 
 
+def load_csv_by_csv_module(path, schema):
+    """load_csv with numpy's reader turned off, so that the csv module reads every record."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_read_columns", lambda fh, numeric: None)
+        return load_csv(path, schema)
+
+
 def _load_outcome(loader, path, schema):
     """The dataset a loader returns, or the type and message of the DataError it raises."""
     try:
@@ -260,24 +308,30 @@ def _load_outcome(loader, path, schema):
 
 
 def assert_same_load(path, schema):
-    got, want = _load_outcome(load_csv, path, schema), _load_outcome(load_csv_reference, path, schema)
-    if isinstance(want, tuple) or isinstance(got, tuple):
-        assert got == want
-        return
-    assert got == want and list(got.schema) == list(want.schema)
-    for name in want.schema:  # same dtypes and the same bytes, NaN payloads and signed zeros included
-        assert got.values(name).dtype == want.values(name).dtype
-        assert got.values(name).tobytes() == want.values(name).tobytes()
+    """load_csv reads the file as the row-wise reference and the csv module's route do, or fails as they do."""
+    got = _load_outcome(load_csv, path, schema)
+    for reference in (load_csv_reference, load_csv_by_csv_module):
+        want = _load_outcome(reference, path, schema)
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want
+            continue
+        assert got == want and list(got.schema) == list(want.schema)
+        for name in want.schema:  # same dtypes and the same bytes, NaN payloads and signed zeros included
+            assert got.values(name).dtype == want.values(name).dtype
+            assert got.values(name).tobytes() == want.values(name).tobytes()
 
 
-_NUMBERS = st.one_of(
+_CLEAN_NUMBERS = st.one_of(
     st.floats().map(repr),
-    st.sampled_from(["", "nan", "-nan", "inf", "-inf", " 1.5 ", "1_0", "-0.0", "1e400", "١٢"]),
+    st.sampled_from(["", "nan", "-nan", "inf", "-inf", " 1.5 ", "1_0", "-0.0", "1e400"]),
+    st.floats().map(lambda v: repr(v).center(34)),  # past numpy's cell width, and float() takes it
 )
+_NUMBERS = _CLEAN_NUMBERS | st.sampled_from(["١٢", " "])
 _NOT_NUMBERS = st.sampled_from(["oops", "1_", "1.2.3", "--1", "0x10", "1,5", "\x00"])
 # quotes, commas, CR/LF, NUL, a BOM and non-ASCII: anything a UTF-8 CSV can carry
 _TEXTS = st.text(st.sampled_from(['a', 'Z', ' ', ',', '"', '\n', '\r', '\x00', '\ufeff', 'é', '東', '😀']),
                  max_size=5)
+_LONG_TEXTS = st.text(st.sampled_from(['a', ' ', ',', '"', '\n', 'é']), min_size=31, max_size=34)
 
 
 TABLE_SCHEMA = {"x": "numeric", "z": "numeric", "c": "categorical",
@@ -292,9 +346,14 @@ def csv_tables(draw):
     if draw(st.integers(0, 19)) == 0:
         header.append(draw(st.sampled_from(header)))  # a duplicate name
     labels = ("P", draw(st.sampled_from(["N", "p", "P,Q", "Pé", ""])))
-    cells = {"x": _NUMBERS, "z": _NUMBERS, "c": _TEXTS, "note": _TEXTS,
+    clean = draw(st.booleans())  # half the tables hold only cells that numpy's reader reads itself
+    numbers = _CLEAN_NUMBERS if clean else _NUMBERS
+    texts = _TEXTS.filter(lambda t: "\x00" not in t) if clean else _TEXTS
+    cells = {"x": numbers, "z": numbers, "c": texts, "note": texts | _LONG_TEXTS,
              "s": st.sampled_from(labels), "y": st.sampled_from(["1", "0"])}
     rows = [[draw(cells[name]) for name in header] for _ in range(draw(st.integers(0, 12)))]
+    if clean:
+        return header, rows
     numeric_at = [i for i, name in enumerate(header) if name in ("x", "z")]
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows and numeric_at else 0):
         rows[draw(st.integers(0, len(rows) - 1))][draw(st.sampled_from(numeric_at))] = draw(_NOT_NUMBERS)
@@ -318,6 +377,174 @@ def test_chunked_load_csv_matches_row_wise_reference(tmp_path_factory, table, ch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_module, "READ_CHUNK_ROWS", chunk)
         assert_same_load(path, TABLE_SCHEMA)
+
+
+# raw cells where a tokenizer might part from the csv module: stray and doubled quotes, quoted
+# line ends, comment marks, odd spaces and line separators, an unterminated quote, a NUL
+_RAW_CELLS = st.sampled_from(['a', 'a"b', '"ab"c', '"a""b"', '"two\nlines"', '"cr\r\nlf"', '"x\ry"', ' a ',
+                              ' "a"', '#x', '""', '"', '"abc', '\u00a0', '\u2028', '\x00', 'P', '', 'a\x00'])
+_RAW_NUMBERS = st.sampled_from(["1.5", "", " 1_000 ", "inf", '"2.5"', "-0.0", " ", "1\x00"]) | _RAW_CELLS
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def _is_float(cell: str) -> bool:
+    """Whether ``cell`` reads as a number, or is empty (a missing value)."""
+    try:
+        return cell == "" or float(cell.strip('"')) == float(cell.strip('"'))
+    except ValueError:
+        return False
+
+
+_CLEAN_RAW_CELLS = _RAW_CELLS.filter(lambda c: "\x00" not in c and c.count('"') % 2 == 0)
+
+
+@st.composite
+def raw_csv_texts(draw):
+    """A CSV text for the columns x (numeric), c and s, written cell by cell from raw fragments."""
+    clean = draw(st.booleans())  # half the texts hold only records that numpy's reader reads itself
+    lines = ["x,c,s" + draw(_LINE_ENDS)]
+    for _ in range(draw(st.integers(0, 8))):
+        if not clean and draw(st.integers(0, 14)) == 0:
+            lines.append(draw(_LINE_ENDS))  # a blank line
+            continue
+        if clean:
+            cells = [draw(_RAW_NUMBERS.filter(_is_float)), draw(_CLEAN_RAW_CELLS),
+                     draw(st.sampled_from(["P", "N"]))]
+        else:
+            cells = [draw(_RAW_NUMBERS), draw(_RAW_CELLS), draw(st.sampled_from(["P", "N"]) | _RAW_CELLS)]
+        if not clean and draw(st.integers(0, 9)) == 0:
+            cells.append("")  # a trailing comma
+        lines.append(",".join(cells) + draw(_LINE_ENDS))
+    text = "".join(lines)
+    return text[:-1] if draw(st.booleans()) else text  # the last line may have no line end
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=raw_csv_texts(), chunk=st.integers(2, 3), bom=st.booleans())
+def test_load_csv_reads_raw_texts_as_the_csv_module_does(tmp_path_factory, text, chunk, bom):
+    path = tmp_path_factory.mktemp("raw") / "d.csv"
+    path.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "READ_CHUNK_ROWS", chunk)
+        assert_same_load(path, {"x": "numeric", "c": "categorical", "s": {"role": "sensitive", "protected": "P"}})
+
+
+def load_by_numpy(path, schema):
+    """load_csv that fails if numpy's reader hands the file back to the csv module."""
+    def refuse(*args):
+        raise AssertionError("numpy's reader handed the file to the csv module")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "_read_records", refuse)
+        return load_csv(path, schema)
+
+
+def write_rows(path, header, rows, encoding="utf-8"):
+    with open(path, "w", newline="", encoding=encoding) as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path
+
+
+XS_SCHEMA = {"x": "numeric", "s": {"role": "sensitive", "protected": "P"}}
+
+
+def test_load_csv_takes_the_spellings_float_takes(tmp_path):
+    path = write_csv(tmp_path, 'x,s\n1_000,P\ninf,N\n"2.5",P\n -1e3 ,N\n,P\n')
+    assert_same_load(path, XS_SCHEMA)
+    assert load_by_numpy(path, XS_SCHEMA).values("x").tolist()[:4] == [1000.0, float("inf"), 2.5, -1000.0]
+
+
+def test_load_csv_refuses_a_whitespace_only_numeric_cell(tmp_path):
+    path = write_csv(tmp_path, "x,s\n1,P\n  ,N\n")
+    assert_same_load(path, XS_SCHEMA)
+    with pytest.raises(DataError, match=r"row 3, column 'x': cannot parse '  ' as a number"):
+        load_csv(path, XS_SCHEMA)
+
+
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    path = write_rows(tmp_path / "bom.csv", ["x", "s"], [["1.5", "P"], ["", "N"]], encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfx,s")
+    assert_same_load(path, XS_SCHEMA)
+    assert list(load_by_numpy(path, XS_SCHEMA).schema) == ["x", "s"]
+
+
+def test_load_csv_reads_whole_chunks_and_a_quoted_newline_at_a_chunk_end(tmp_path):
+    n = 2 * READ_CHUNK_ROWS  # the file ends exactly where a chunk does
+    rows = [[repr(i / 7), "P" if i % 3 else "N", f"note {i}"] for i in range(n)]
+    rows[READ_CHUNK_ROWS - 1][2] = "two\nlines"  # the first chunk's last record spans two lines
+    path = write_rows(tmp_path / "d.csv", ["x", "s", "note"], rows)
+    assert_same_load(path, XS_SCHEMA)
+    d = load_by_numpy(path, XS_SCHEMA)
+    assert d.n == n
+    assert d.values("note")[READ_CHUNK_ROWS - 1:READ_CHUNK_ROWS + 1].tolist() == ["two\nlines", f"note {READ_CHUNK_ROWS}"]
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_load_csv_keeps_a_long_text_cell_whole(tmp_path, where):
+    n = 2 * READ_CHUNK_ROWS + 57  # three chunks, the last one short
+    rows = [[repr(i / 7) if i % 50 else "", "P" if i % 3 else "N", "ab"] for i in range(n)]
+    long = 'a long note, "quoted", past any fixed width ' * 3
+    at = 1 if where == "first" else n - 2
+    rows[at][2] = long
+    rows[at][0] = "  " + repr(1 / 3).ljust(40)  # a long numeric cell too
+    path = write_rows(tmp_path / "d.csv", ["x", "s", "note"], rows)
+    assert_same_load(path, XS_SCHEMA)
+    d = load_by_numpy(path, XS_SCHEMA)
+    assert d.values("note")[at] == long and d.values("note").dtype == np.dtype(f"U{len(long)}")
+    assert d.values("x")[at] == 1 / 3 and np.isnan(d.values("x")[0])
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_load_csv_keeps_the_csv_field_size_limit(tmp_path, extra):
+    limit = csv.field_size_limit()
+    path = write_rows(tmp_path / "d.csv", ["s", "note"], [["P", "a"], ["N", "b" * (limit + extra)]])
+    schema = {"s": {"role": "sensitive", "protected": "P"}}
+    if not extra:
+        assert_same_load(path, schema)
+        return
+    assert _load_outcome(load_csv, path, schema) == _load_outcome(load_csv_by_csv_module, path, schema)
+    with pytest.raises(DataError, match="line 3: field larger than field limit"):
+        load_csv(path, schema)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("text", ["x,s\n1_0,P\n,N\n", "x,s\n1,P\noops,N\n"])
+def test_load_csv_reads_a_pipe_in_one_pass(tmp_path, text):
+    # a pipe cannot be read twice, so the csv module reads it from the start
+    write_csv(tmp_path, text)
+    os.mkfifo(tmp_path / "pipe.csv")
+    writer = threading.Thread(target=(tmp_path / "pipe.csv").write_text, args=(text,), daemon=True)
+    writer.start()
+    got = _load_outcome(load_csv, tmp_path / "pipe.csv", XS_SCHEMA)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = _load_outcome(load_csv, tmp_path / "d.csv", XS_SCHEMA)
+    assert got == want if isinstance(want, Dataset) else got == (want[0], want[1].replace("d.csv", "pipe.csv"))
+
+
+def benchmark_style_rows(n: int, seed: int = 0) -> list[list[str]]:
+    """Rows shaped like the benchmark's tables: numerics with about 1% empty cells, quoted notes."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    x[rng.random((n, 3)) < 0.01] = np.nan
+    words = ["alpha", "beta, gamma", 'say "hi"', "plain", 'a "b, c"', "x,y,z"]
+    return [["" if v != v else repr(v) for v in row] +
+            [f"m{rng.integers(8)}", "P" if rng.random() < 0.4 else "N", "yes" if rng.random() < 0.5 else "no",
+             "good" if rng.random() < 0.5 else "bad", f"note {rng.integers(1000)}, {words[rng.integers(6)]}"]
+            for row in x.tolist()]
+
+
+def test_numpys_reader_reads_hand_csv_and_a_benchmark_style_table(tmp_path):
+    hand = GOLDEN_INPUTS / "hand.csv"
+    schema = json.loads((GOLDEN_INPUTS / "hand-schema.json").read_text(encoding="utf-8"))
+    assert load_by_numpy(hand, schema) == load_csv_reference(hand, schema)
+    path = write_rows(tmp_path / "bench.csv", ["x1", "x2", "x3", "cat", "s", "y", "t", "note"],
+                      benchmark_style_rows(10_000))
+    schema = {"x1": "numeric", "x2": "numeric", "x3": "numeric", "cat": "categorical",
+              "s": {"role": "sensitive", "protected": "P"}, "y": {"role": "decision", "positive": "yes"},
+              "t": {"role": "outcome", "positive": "good"}}
+    d = load_by_numpy(path, schema)
+    assert d == load_csv_reference(path, schema) and d.n == 10_000
+    assert 0 < int(np.isnan(d.values("x1")).sum()) < 300  # empty numeric cells in every chunk
 
 
 def test_load_csv_names_the_bad_record_in_the_last_chunk(tmp_path):
