@@ -31,8 +31,6 @@ from .metrics import (
     disparity_metrics,
     eighty_percent_verdict,
     group_confusion,
-    implied_false_positive_rate,
-    impossibility_residual,
 )
 from .model import (
     ErrorEstimate,

@@ -67,15 +67,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fraction(text: str, one_allowed: bool = False) -> float:
-    """argparse type: a float in (0, 1), or in (0, 1] if ``one_allowed``."""
-    try:
-        value = float(text)
-        if 0.0 < value < 1.0 or (one_allowed and value == 1.0):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be in (0, 1{']' if one_allowed else ')'}, got {text!r}")
+def _ranged(cast, ok, wording: str):
+    """argparse type: ``cast(text)`` where ``ok`` holds of it, or the message "must be <wording>"."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(value := cast(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {wording}, got {text!r}")
+    return parse
+
+
+_FRACTION = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _cv_replicates(text: str) -> int:
@@ -83,24 +85,6 @@ def _cv_replicates(text: str) -> int:
     if text.isdigit() and int(text) != 1:
         return int(text)
     raise argparse.ArgumentTypeError(f"must be 0 (no cross-validation) or at least 2, got {text!r}")
-
-
-def _int_at_least(low: int):
-    """argparse type: an integer of at least ``low``."""
-    def parse(text: str) -> int:
-        with contextlib.suppress(ValueError):
-            if int(text) >= low:
-                return int(text)
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
-    return parse
-
-
-def _kernel_width(text: str) -> float:
-    """argparse type: a float that is not <= 0; NaN is left to the surrogate's check (exit 2)."""
-    with contextlib.suppress(ValueError):
-        if not float(text) <= 0.0:
-            return float(text)
-    raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
 
 
 def _fmt(v) -> str:
@@ -383,7 +367,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-stable reports")
         if decision_threshold:
-            p.add_argument("--threshold", dest="decision_threshold", type=_fraction, default=0.5,
+            p.add_argument("--threshold", dest="decision_threshold", type=_FRACTION, default=0.5,
                            help="decision threshold on model scores")
         if model:
             p.add_argument("--model", required=True, help="model JSON path")
@@ -396,17 +380,17 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("audit", help="disparity metrics, intervals, four-fifths verdict")
     common(p, decision_threshold=False)
     p.add_argument("--model", help="model JSON path for the flip-test section")
-    p.add_argument("--level", type=_fraction, default=0.95, help="confidence level")
-    p.add_argument("--threshold", type=lambda text: _fraction(text, one_allowed=True),
+    p.add_argument("--level", type=_FRACTION, default=0.95, help="confidence level")
+    p.add_argument("--threshold", type=_ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
                    default=0.8, help="four-fifths rule threshold")
-    p.add_argument("--decision-threshold", dest="decision_threshold", type=_fraction,
+    p.add_argument("--decision-threshold", dest="decision_threshold", type=_FRACTION,
                    default=0.5, help="score threshold for the flip-test section")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("train", help="fit and serialize the baseline model")
     common(p, model=True)
     p.add_argument("--include-sensitive", action="store_true")
-    p.add_argument("--test-fraction", type=_fraction, default=0.3)
+    p.add_argument("--test-fraction", type=_FRACTION, default=0.3)
     p.add_argument("--replicates", type=_cv_replicates, default=10, help="cross-validation replicates, 0 or >= 2")
     p.add_argument("--target", choices=("auto", "decision", "outcome"), default="auto")
     p.set_defaults(func=_cmd_train, outputs=("model", "out"), seed=0)
@@ -419,26 +403,29 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--features", required=True,
                    help="comma-separated numeric features to repair")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=_ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+                   default=1.0)
     p.add_argument("--repaired-out", default="repaired.csv", help="repaired CSV path (default %(default)s)")
     p.add_argument("--plan-out", help="optional path to serialize the repair plan")
     p.set_defaults(func=_cmd_repair, outputs=("repaired_out", "plan_out", "out"), seed=0)
 
     p = sub.add_parser("explain", help="permutation importance and local surrogate")
     common(p, model=True)
-    p.add_argument("--row", type=_int_at_least(0), help="row index for the local surrogate")
-    p.add_argument("--replicates", type=_int_at_least(1), default=10, help="permutation repeats")
+    p.add_argument("--row", type=_ranged(int, lambda v: v >= 0, "an integer >= 0"),
+                   help="row index for the local surrogate")
+    p.add_argument("--replicates", type=_ranged(int, lambda v: v >= 1, "an integer >= 1"), default=10,
+                   help="permutation repeats")
     # at least 10 per numeric feature the model reads, and it reads one or more
-    p.add_argument("--samples", type=_int_at_least(10), default=None,
+    p.add_argument("--samples", type=_ranged(int, lambda v: v >= 10, "an integer >= 10"), default=None,
                    help="surrogate perturbations (default 1000; needs --row)")
-    p.add_argument("--kernel-width", type=_kernel_width, default=None,
+    p.add_argument("--kernel-width", type=_ranged(float, lambda v: v > 0.0, "> 0"), default=None,
                    help="surrogate kernel width (needs --row)")
     p.set_defaults(func=_cmd_explain, seed=0)
 
     p = sub.add_parser("synth", help="generate synthetic data with known disparity")
     common(p, schema=False, decision_threshold=False)
-    p.add_argument("--n", type=_int_at_least(1), default=None)
-    p.add_argument("--protected-fraction", type=_fraction, default=None)
+    p.add_argument("--n", type=_ranged(int, lambda v: v >= 1, "an integer >= 1"), default=None)
+    p.add_argument("--protected-fraction", type=_FRACTION, default=None)
     p.add_argument("--group-bias", type=float, default=None)
     p.add_argument("--target-di", type=float, default=None,
                    help="solve the group bias so the exact DI hits this value")

@@ -271,27 +271,6 @@ def confusion_gaps(pair: tuple[GroupConfusion, GroupConfusion]) -> dict[str, Met
     return {name: gap(name, rate) for name, rate in table}
 
 
-def implied_false_positive_rate(base_rate: float, ppv: float, tpr: float) -> float:
-    """FPR forced by (base rate, PPV, TPR) for any exact confusion matrix.
-
-    Equal precision with unequal base rates therefore forces unequal false
-    positive rates: this value is strictly increasing in the base rate.
-    """
-    if not 0.0 < base_rate < 1.0:
-        raise DataError(f"base rate must be in (0, 1), got {base_rate}")
-    if not 0.0 < ppv < 1.0:
-        raise DataError(f"PPV must be in (0, 1), got {ppv}")
-    return (base_rate / (1.0 - base_rate)) * ((1.0 - ppv) / ppv) * tpr
-
-
-def impossibility_residual(g: GroupConfusion) -> float:
-    """FPR minus the FPR implied by (base rate, PPV, TPR); zero up to rounding."""
-    p, ppv, tpr, fpr = g.base_rate, g.ppv, g.tpr, g.fpr
-    if p is None or ppv is None or tpr is None or fpr is None:
-        raise DataError("impossibility residual requires all rates defined")
-    return fpr - implied_false_positive_rate(p, ppv, tpr)
-
-
 # -- AUC --------------------------------------------------------------------------
 
 

@@ -2,9 +2,9 @@
 
 The generator is SplitMix64: output i is a bit-mix of ``seed + i * GOLDEN``
 (mod 2**64), so the stream is a pure function of (seed, counter). That makes
-every consumer reproducible bit-for-bit across platforms and across scalar or
-block-wise consumption. The reference stream for seed 42 is frozen in the
-README and in tests/test_rng.py.
+every consumer reproducible bit-for-bit across platforms, however its draws are
+split into blocks. The reference stream for seed 42 is frozen in the README and
+in tests/test_rng.py.
 """
 
 from __future__ import annotations
@@ -57,11 +57,11 @@ def derive_seed(seed: int, index: int) -> int:
 
 def resample_blocks(seed: int, sizes: list[int], B: int, step: int):
     """Within-group resample indices of replicates 0 to B - 1, ``step`` at a time: yields (start, block),
-    where row i of ``block`` is ``CounterRng(derive_seed(seed, start + i)).integers(n, n)`` plus the sizes
-    before n, for each n in ``sizes``, joined. The next chunk overwrites ``block``."""
+    where row i of ``block`` is ``floor(uniforms(n) * n)`` from ``CounterRng(derive_seed(seed, start + i))``,
+    plus the sizes before n, for each n in ``sizes``, joined. The next chunk overwrites ``block``."""
     seeds = _mix_block(np.uint64(seed & _MASK) ^ _mix_block(np.arange(1, B + 1, dtype=np.uint64) * _U_GOLDEN))
     steps = np.arange(1, sum(sizes) + 1, dtype=np.uint64) * _U_GOLDEN
-    # k * 2**-53 and n * 2**-53 are exact, so this rounds as integers() does; the cast floors
+    # k * 2**-53 and n * 2**-53 are exact, so this rounds as uniforms(n) * n does; the cast floors
     scale = np.repeat(np.asarray(sizes, dtype=np.float64) * _INV53, sizes)
     offsets = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
     k, x = np.empty((step, len(steps)), dtype=np.uint64), np.empty((step, len(steps)))  # the two buffers
@@ -88,16 +88,9 @@ class CounterRng:
         counters = np.arange(start, start + n, dtype=np.uint64)
         return _mix_block(np.uint64(self.seed) + counters * _U_GOLDEN)
 
-    def next_u64(self) -> int:
-        self.counter += 1
-        return mix64((self.seed + self.counter * GOLDEN) & _MASK)
-
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles in [0, 1)."""
         return (self.u64_block(n) >> _U11).astype(np.float64) * _INV53
-
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * _INV53
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals via Box-Muller on consecutive uniform pairs."""
@@ -111,12 +104,6 @@ class CounterRng:
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
         return out[:n]
-
-    def integers(self, upper: int, n: int) -> np.ndarray:
-        """``n`` integers uniform on [0, upper). ``upper`` must fit a double."""
-        if upper <= 0:
-            raise ValueError("upper must be positive")
-        return np.floor(self.uniforms(n) * upper).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniform random permutation of range(n)."""

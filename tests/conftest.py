@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from fairaudit import ColumnRole, Dataset
+from fairaudit.rng import CounterRng
 
 
 def binary_dataset(a: int, b: int, c: int, d: int) -> Dataset:
@@ -53,3 +54,11 @@ def feature_dataset(x: np.ndarray, labels: np.ndarray, sensitive: np.ndarray,
             schema[name] = ColumnRole("numeric")
             columns[name] = values
     return Dataset(schema, columns)
+
+
+def integers(rng: CounterRng, upper: int, n: int) -> np.ndarray:
+    """``n`` integers uniform on [0, upper) drawn from ``rng``: the per-replicate reference that
+    ``rng.resample_blocks`` vectorizes. ``upper`` must fit a double."""
+    if upper <= 0:
+        raise ValueError("upper must be positive")
+    return np.floor(rng.uniforms(n) * upper).astype(np.int64)

@@ -151,6 +151,26 @@ MUTANTS = [
      'warnings.simplefilter("error", UserWarning)', 'warnings.simplefilter("ignore", UserWarning)', KILLED),
     ("csv-write-cr-unquoted", "data.py",
      """'"' in text or "\\r" in text""", """'"' in text""", KILLED),
+    ("contingency-refuses-one-row", "metrics.py",
+     "if self.n < 1:", "if self.n <= 1:", KILLED),
+    ("rates-accept-p1-0", "metrics.py",
+     "0.0 < r.p1 < 1.0", "0.0 <= r.p1 < 1.0", KILLED),
+    ("rates-accept-p2-0", "metrics.py",
+     "0.0 < r.p2 < 1.0", "0.0 <= r.p2 < 1.0", KILLED),
+    ("verdict-accepts-threshold-0", "metrics.py",
+     "if not 0.0 < threshold <= 1.0:", "if not 0.0 <= threshold <= 1.0:", KILLED),
+    ("di-interval-refuses-2-protected-rows", "inference.py",
+     "if t.n1 < 2 or t.n2 < 2:", "if t.n1 <= 2 or t.n2 < 2:", KILLED),
+    ("di-interval-refuses-2-other-rows", "inference.py",
+     "if t.n1 < 2 or t.n2 < 2:", "if t.n1 < 2 or t.n2 <= 2:", KILLED),
+    ("kernel-width-nan-accepted", "cli.py",
+     'lambda v: v > 0.0, "> 0"', 'lambda v: not v <= 0.0, "> 0"', KILLED),
+    ("lambda-range-unchecked", "cli.py",
+     'type=_ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")', "type=float", KILLED),
+    # modality counts in order of first appearance: the row-order relation of tests/test_cli.py sees it
+    ("validate-modalities-in-row-order", "data.py",
+     "np.unique(d.values(name), return_counts=True)",
+     'zip(*__import__("collections").Counter(d.values(name).tolist()).items())', KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

@@ -618,12 +618,12 @@ def test_split_tiny_group_errors():
 def test_split_partition_and_stratification_property():
     rng = CounterRng(99)
     for trial in range(20):
-        n1 = 2 + int(rng.uniform() * 20)
-        n2 = 2 + int(rng.uniform() * 20)
+        n1 = 2 + int(float(rng.uniforms(1)[0]) * 20)
+        n2 = 2 + int(float(rng.uniforms(1)[0]) * 20)
         a = max(1, n1 // 2)
         c = max(1, n2 // 2)
         d = binary_dataset(a, n1 - a, c, n2 - c)
-        frac = 0.1 + 0.8 * rng.uniform()
+        frac = 0.1 + 0.8 * float(rng.uniforms(1)[0])
         train, test = split(d, frac, seed=trial)
         assert train.n + test.n == d.n
         for part in (train, test):

@@ -25,7 +25,7 @@ from fairaudit import (
 from fairaudit import inference
 from fairaudit.rng import CounterRng, derive_seed
 
-from conftest import binary_dataset, confusion_dataset
+from conftest import binary_dataset, confusion_dataset, integers
 
 
 # -- normal quantile ---------------------------------------------------------------
@@ -222,7 +222,7 @@ def reference_bootstrap(statistic, d, B, seed, level=0.95, name=None):
     values, failures = [], 0
     for i in range(B):
         rng = CounterRng(derive_seed(seed, i))
-        resample = d.take(np.concatenate([g[rng.integers(len(g), len(g))] for g in group_idx]))
+        resample = d.take(np.concatenate([g[integers(rng, len(g), len(g))] for g in group_idx]))
         try:
             values.append(statistic(resample))
         except DataError:

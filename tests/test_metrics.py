@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,11 +18,10 @@ from fairaudit import (
     base_rates,
     confusion_gaps,
     contingency,
+    di_ci_delta,
     disparity_metrics,
     eighty_percent_verdict,
     group_confusion,
-    implied_false_positive_rate,
-    impossibility_residual,
 )
 from fairaudit.metrics import corrected_rates
 from fairaudit.rng import CounterRng
@@ -139,7 +140,7 @@ def test_base_rates_zero_cell_correction():
 def test_base_rates_reconstruction_invariant():
     rng = CounterRng(3)
     for trial in range(50):
-        a, b, c, d = (1 + int(rng.uniform() * 50) for _ in range(4))
+        a, b, c, d = (1 + int(float(rng.uniforms(1)[0]) * 50) for _ in range(4))
         r = base_rates(ContingencyTable(a, b, c, d))
         assert not r.corrected
         assert round(r.p1 * (a + b)) == a
@@ -179,7 +180,7 @@ def brute_force_disparity(a, b, c, d):
 def test_disparity_against_brute_force_oracle():
     rng = CounterRng(17)
     for trial in range(20):
-        a, b, c, d = (1 + int(rng.uniform() * 80) for _ in range(4))
+        a, b, c, d = (1 + int(float(rng.uniforms(1)[0]) * 80) for _ in range(4))
         got = disparity_metrics(base_rates(ContingencyTable(a, b, c, d)))
         expected = brute_force_disparity(a, b, c, d)
         for name, value in expected.items():
@@ -215,7 +216,7 @@ def test_disparity_corrected_case():
 def test_disparity_group_swap_inverts_ratios():
     rng = CounterRng(23)
     for trial in range(20):
-        a, b, c, d = (1 + int(rng.uniform() * 60) for _ in range(4))
+        a, b, c, d = (1 + int(float(rng.uniforms(1)[0]) * 60) for _ in range(4))
         fwd = disparity_metrics(base_rates(ContingencyTable(a, b, c, d)))
         rev = disparity_metrics(base_rates(ContingencyTable(c, d, a, b)))
         assert rev["disparate_impact"].value == pytest.approx(1 / fwd["disparate_impact"].value)
@@ -364,35 +365,41 @@ def test_confusion_gaps_zero_rate_of_the_non_protected_group():
     assert gaps["fpr_ratio"].value is None
 
 
-# -- impossibility identity --------------------------------------------------------------
+# -- the impossibility identity, a check on GroupConfusion's rates --------------------
+
+
+def implied_fpr(base_rate: float, ppv: float, tpr: float) -> float:
+    """FPR forced by (base rate, PPV, TPR) for any exact confusion matrix (Chouldechova, 2017). It is
+    strictly increasing in the base rate, so equal precision with unequal base rates forces unequal FPRs."""
+    return (base_rate / (1.0 - base_rate)) * ((1.0 - ppv) / ppv) * tpr
+
+
+def identity_residual(g: GroupConfusion) -> float:
+    """The group's FPR minus the FPR implied by its base rate, PPV and TPR; zero up to rounding."""
+    return g.fpr - implied_fpr(g.base_rate, g.ppv, g.tpr)
 
 
 def test_impossibility_residual_on_random_matrices():
     rng = CounterRng(31)
     for trial in range(200):
-        cells = [1 + int(rng.uniform() * 40) for _ in range(4)]
+        cells = [1 + int(float(rng.uniforms(1)[0]) * 40) for _ in range(4)]
         g = GroupConfusion(*cells)
-        assert abs(impossibility_residual(g)) < 1e-12
+        assert abs(identity_residual(g)) < 1e-12
 
 
 def test_impossibility_residual_symmetric_matrix():
-    assert impossibility_residual(GroupConfusion(25, 25, 25, 25)) == pytest.approx(0.0, abs=1e-15)
+    assert identity_residual(GroupConfusion(25, 25, 25, 25)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_implied_fpr_worked_values():
-    assert implied_false_positive_rate(0.5, 0.7, 0.6) == pytest.approx(0.2571, abs=5e-5)
-    assert implied_false_positive_rate(0.3, 0.7, 0.6) == pytest.approx(0.1102, abs=5e-5)
+    assert implied_fpr(0.5, 0.7, 0.6) == pytest.approx(0.2571, abs=5e-5)
+    assert implied_fpr(0.3, 0.7, 0.6) == pytest.approx(0.1102, abs=5e-5)
 
 
 def test_implied_fpr_increasing_in_base_rate():
     grid = np.linspace(0.05, 0.95, 19)
-    values = [implied_false_positive_rate(p, 0.7, 0.6) for p in grid]
+    values = [implied_fpr(p, 0.7, 0.6) for p in grid]
     assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_impossibility_residual_undefined_rates_error():
-    with pytest.raises(DataError):
-        impossibility_residual(GroupConfusion(0, 0, 5, 0))
 
 
 # -- AUC ----------------------------------------------------------------------------------
@@ -453,7 +460,7 @@ def test_auc_perfect_and_tied():
 def test_auc_matches_exhaustive_oracle_exactly():
     rng = CounterRng(41)
     for trial in range(50):
-        n = 2 + int(rng.uniform() * 198)
+        n = 2 + int(float(rng.uniforms(1)[0]) * 198)
         # coarse grid of score values forces plenty of ties
         scores = np.floor(rng.uniforms(n) * 10) / 10
         outcomes = rng.uniforms(n) < 0.5
@@ -521,3 +528,36 @@ def test_auc_refuses_outcomes_that_are_not_boolean_or_01(outcomes):
                                       np.array([False, True, True])])
 def test_auc_accepts_boolean_and_01_outcomes(outcomes):
     assert auc([0.1, 0.2, 0.3], outcomes).value == 1.0
+
+
+# -- library guards at their exact bounds ---------------------------------------------------
+
+_HALF = MetricEstimate("disparate_impact", 0.5)
+
+# (id, call, exception it raises, or None when it is accepted)
+BOUNDARY = [
+    # a table counts at least one row
+    ("contingency-one-row", lambda: ContingencyTable(1, 0, 0, 0), None),
+    ("contingency-no-row", lambda: ContingencyTable(0, 0, 0, 0), DataError),
+    # the ratios are undefined at a rate of 0 or 1, and defined strictly between
+    ("rates-p1-0", lambda: disparity_metrics(GroupRates(p1=0.0, p2=0.5, p=0.25)), DataError),
+    ("rates-p2-0", lambda: disparity_metrics(GroupRates(p1=0.5, p2=0.0, p=0.25)), DataError),
+    ("rates-p1-1", lambda: disparity_metrics(GroupRates(p1=1.0, p2=0.5, p=0.75)), DataError),
+    ("rates-p2-1", lambda: disparity_metrics(GroupRates(p1=0.5, p2=1.0, p=0.75)), DataError),
+    ("rates-smallest-positive", lambda: disparity_metrics(GroupRates(p1=5e-324, p2=5e-324, p=5e-324)), None),
+    # the four-fifths threshold lies in (0, 1]
+    ("verdict-threshold-0", lambda: eighty_percent_verdict(_HALF, 0.0), ValueError),
+    ("verdict-threshold-smallest-positive", lambda: eighty_percent_verdict(_HALF, 5e-324), None),
+    ("verdict-threshold-1", lambda: eighty_percent_verdict(_HALF, 1.0), None),
+    ("verdict-threshold-above-1", lambda: eighty_percent_verdict(_HALF, 1.0000000000000002), ValueError),
+    # the delta interval needs at least 2 rows per group
+    ("di-interval-2-rows-per-group", lambda: di_ci_delta(ContingencyTable(1, 1, 1, 1)), None),
+    ("di-interval-1-protected-row", lambda: di_ci_delta(ContingencyTable(1, 0, 1, 1)), DataError),
+    ("di-interval-1-other-row", lambda: di_ci_delta(ContingencyTable(1, 1, 1, 0)), DataError),
+]
+
+
+@pytest.mark.parametrize("call, error", [pytest.param(*row[1:], id=row[0]) for row in BOUNDARY])
+def test_library_guard_at_its_bound(call, error):
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        call()

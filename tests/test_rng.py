@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairaudit.rng import CounterRng, derive_seed, mix64, resample_blocks
+from fairaudit.rng import GOLDEN, CounterRng, derive_seed, mix64, resample_blocks
+
+from conftest import integers
 
 # Reference stream for seed 42, also documented in the README. Any change to
 # these values breaks reproducibility of every seeded artifact.
@@ -22,15 +24,13 @@ SEED42_FIRST_10 = [
 
 
 def test_reference_stream_seed_42():
-    rng = CounterRng(42)
-    assert [rng.next_u64() for _ in range(10)] == SEED42_FIRST_10
+    assert CounterRng(42).u64_block(10).tolist() == SEED42_FIRST_10
 
 
 def test_block_matches_scalar_stream():
-    a, b = CounterRng(123), CounterRng(123)
-    block = a.u64_block(64)
-    scalars = [b.next_u64() for _ in range(64)]
-    assert block.tolist() == scalars
+    rng = CounterRng(123)
+    blocks = np.concatenate([rng.u64_block(1), rng.u64_block(40), rng.u64_block(23)])
+    assert blocks.tolist() == [mix64((123 + i * GOLDEN) % (1 << 64)) for i in range(1, 65)]
 
 
 def test_block_split_points_do_not_matter():
@@ -59,12 +59,12 @@ def test_normals_odd_length():
 
 
 def test_integers_bounds():
-    v = CounterRng(4).integers(13, 5000)
+    v = integers(CounterRng(4), 13, 5000)
     assert v.min() >= 0 and v.max() <= 12
     # every residue shows up at this sample size
     assert len(np.unique(v)) == 13
     with pytest.raises(ValueError):
-        CounterRng(4).integers(0, 1)
+        integers(CounterRng(4), 0, 1)
 
 
 def test_permutation_is_permutation():
@@ -106,7 +106,7 @@ def test_resample_block_rows_are_per_replicate_streams(seed, sizes, start, rows,
     assert block.shape == (rows, sum(sizes)) and block.dtype == np.int64
     for i, row in enumerate(block):
         rng = CounterRng(derive_seed(seed, start + i))
-        expected = [rng.integers(n, n) for n in sizes if n > 0]
+        expected = [integers(rng, n, n) for n in sizes if n > 0]
         assert row.tolist() == (np.concatenate(expected).tolist() if expected else [])
 
 
@@ -115,4 +115,4 @@ def test_resample_block_matches_integers_at_a_large_group_size():
     block = resample_block(11, sizes, 41, 43, 1)
     for i, row in enumerate(block):
         rng = CounterRng(derive_seed(11, 41 + i))
-        assert np.array_equal(row, np.concatenate([rng.integers(n, n) for n in sizes]))
+        assert np.array_equal(row, np.concatenate([integers(rng, n, n) for n in sizes]))
