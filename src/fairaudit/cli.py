@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
+import re
 import sys
 from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
@@ -57,6 +59,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         # no prefix matching: "synth --schema x" must not overwrite x as --schema-out
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        # argparse reads only -1 and -.5 as negative numbers, so "--group-bias -1e-3" would want an
+        # argument; every float spelling is a value here, and no option string starts this way
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     # argparse exits with code 2 on usage errors; the exit-code contract
     # reserves 2 for data errors, so remap. The error line comes first so that
@@ -78,13 +83,7 @@ def _ranged(cast, ok, wording: str):
 
 
 _FRACTION = _ranged(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
-
-
-def _cv_replicates(text: str) -> int:
-    """argparse type: 0 (no cross-validation) or an integer of at least 2."""
-    if text.isdigit() and int(text) != 1:
-        return int(text)
-    raise argparse.ArgumentTypeError(f"must be 0 (no cross-validation) or at least 2, got {text!r}")
+_POSITIVE = _ranged(float, lambda v: v > 0.0, "> 0")
 
 
 def _fmt(v) -> str:
@@ -108,14 +107,11 @@ def _markdown_lines(obj, indent: int = 0) -> list[str]:
             else:
                 rendered = "[]" if isinstance(value, list) else _fmt(value)
                 lines.append(f"{pad}- {key}: {rendered}")
-    elif isinstance(obj, list):
-        if all(not isinstance(v, (dict, list)) for v in obj):
-            lines.append(f"{pad}- " + ", ".join(_fmt(v) for v in obj))
-        else:
-            for v in obj:
-                lines.extend(_markdown_lines(v, indent))
+    elif all(not isinstance(v, (dict, list)) for v in obj):  # otherwise obj is a list, here of scalars
+        lines.append(f"{pad}- " + ", ".join(_fmt(v) for v in obj))
     else:
-        lines.append(f"{pad}- {_fmt(obj)}")
+        for v in obj:
+            lines.extend(_markdown_lines(v, indent))
     return lines
 
 
@@ -163,16 +159,12 @@ def _meta(args, d: Dataset | None) -> dict:
     return meta
 
 
-def _fields(obj, *drop: str) -> dict:
-    """A result dataclass as a report section: its fields in declaration order,
-    less the ``drop`` names and less the fields left at their declared default."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)
-            if f.name not in drop and getattr(obj, f.name) != f.default}
-
-
-def _with_properties(obj, *names: str) -> dict:
-    """A result dataclass's fields followed by the named derived properties."""
-    return {**asdict(obj), **{name: getattr(obj, name) for name in names}}
+def _fields(obj, *drop: str, derived: tuple[str, ...] = ()) -> dict:
+    """A result dataclass as a report section: its fields in declaration order, less the ``drop``
+    names and less the fields left at their declared default, then the ``derived`` properties."""
+    return {**{f.name: getattr(obj, f.name) for f in fields(obj)
+               if f.name not in drop and getattr(obj, f.name) != f.default},
+            **{name: getattr(obj, name) for name in derived}}
 
 
 def _fliptest_section(ft, **extra) -> dict:
@@ -200,8 +192,7 @@ def _cmd_audit(args, d: Dataset) -> dict:
 
     table = contingency(d)
     rates = base_rates(table)
-    report["contingency"] = {**_with_properties(table, "n1", "n2", "m1", "m2", "n"),
-                             **asdict(rates)}
+    report["contingency"] = {**_fields(table, derived=("n1", "n2", "m1", "m2", "n")), **asdict(rates)}
     estimates = disparity_metrics(rates)
     report["metrics"] = {name: _fields(e, "name") for name, e in estimates.items()}
 
@@ -227,8 +218,8 @@ def _cmd_audit(args, d: Dataset) -> dict:
     if pair is not None:
         derived = ("tpr", "fpr", "fnr", "ppv", "accuracy", "base_rate")
         report["confusion"] = {
-            "protected": _with_properties(pair[0], *derived),
-            "non_protected": _with_properties(pair[1], *derived),
+            "protected": _fields(pair[0], derived=derived),
+            "non_protected": _fields(pair[1], derived=derived),
             "gaps": {name: _fields(e, "name") for name, e in confusion_gaps(pair).items()},
         }
 
@@ -357,7 +348,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p: argparse.ArgumentParser, model: bool = False, schema: bool = True,
-               decision_threshold: bool = True) -> None:
+               threshold: str | None = "--threshold") -> None:
         p.add_argument("--data", required=True, help="CSV file path")
         if schema:
             p.add_argument("--schema", required=True, help="JSON role-declaration path")
@@ -366,32 +357,31 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-stable reports")
-        if decision_threshold:
-            p.add_argument("--threshold", dest="decision_threshold", type=_FRACTION, default=0.5,
+        if threshold:
+            p.add_argument(threshold, dest="decision_threshold", type=_FRACTION, default=0.5,
                            help="decision threshold on model scores")
         if model:
             p.add_argument("--model", required=True, help="model JSON path")
         p.set_defaults(outputs=("out",))  # the flags naming files the subcommand writes
 
     p = sub.add_parser("validate", help="data report: roles, missing cells, group sizes")
-    common(p, decision_threshold=False)
+    common(p, threshold=None)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("audit", help="disparity metrics, intervals, four-fifths verdict")
-    common(p, decision_threshold=False)
+    common(p, threshold="--decision-threshold")
     p.add_argument("--model", help="model JSON path for the flip-test section")
     p.add_argument("--level", type=_FRACTION, default=0.95, help="confidence level")
     p.add_argument("--threshold", type=_ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
                    default=0.8, help="four-fifths rule threshold")
-    p.add_argument("--decision-threshold", dest="decision_threshold", type=_FRACTION,
-                   default=0.5, help="score threshold for the flip-test section")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("train", help="fit and serialize the baseline model")
     common(p, model=True)
     p.add_argument("--include-sensitive", action="store_true")
     p.add_argument("--test-fraction", type=_FRACTION, default=0.3)
-    p.add_argument("--replicates", type=_cv_replicates, default=10, help="cross-validation replicates, 0 or >= 2")
+    p.add_argument("--replicates", default=10, help="cross-validation replicates, 0 or >= 2",
+                   type=_ranged(int, lambda v: v == 0 or v >= 2, "0 (no cross-validation) or at least 2"))
     p.add_argument("--target", choices=("auto", "decision", "outcome"), default="auto")
     p.set_defaults(func=_cmd_train, outputs=("model", "out"), seed=0)
 
@@ -418,16 +408,16 @@ def _build_parser() -> _Parser:
     # at least 10 per numeric feature the model reads, and it reads one or more
     p.add_argument("--samples", type=_ranged(int, lambda v: v >= 10, "an integer >= 10"), default=None,
                    help="surrogate perturbations (default 1000; needs --row)")
-    p.add_argument("--kernel-width", type=_ranged(float, lambda v: v > 0.0, "> 0"), default=None,
+    p.add_argument("--kernel-width", type=_POSITIVE, default=None,
                    help="surrogate kernel width (needs --row)")
     p.set_defaults(func=_cmd_explain, seed=0)
 
     p = sub.add_parser("synth", help="generate synthetic data with known disparity")
-    common(p, schema=False, decision_threshold=False)
+    common(p, schema=False, threshold=None)
     p.add_argument("--n", type=_ranged(int, lambda v: v >= 1, "an integer >= 1"), default=None)
     p.add_argument("--protected-fraction", type=_FRACTION, default=None)
-    p.add_argument("--group-bias", type=float, default=None)
-    p.add_argument("--target-di", type=float, default=None,
+    p.add_argument("--group-bias", type=_ranged(float, math.isfinite, "a finite number"), default=None)
+    p.add_argument("--target-di", type=_POSITIVE, default=None,
                    help="solve the group bias so the exact DI hits this value")
     p.add_argument("--spec", help="generator spec JSON; explicit flags override it")
     p.add_argument("--schema-out", help="write the matching schema JSON here")

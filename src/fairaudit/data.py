@@ -146,7 +146,8 @@ class Dataset:
             n_missing = int(np.count_nonzero(values == ""))
             if n_missing:
                 raise DataError(f"column {name!r} ({role.kind}) has {n_missing} missing values")
-            observed = set(np.unique(values).tolist())
+            # with counts, np.unique skips its np.ma.is_masked test, whose first call imports numpy.ma
+            observed = set(np.unique(values, return_counts=True)[0].tolist())
             if len(observed) > 2:
                 raise DataError(
                     f"column {name!r} ({role.kind}) must be binary, "

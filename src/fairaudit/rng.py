@@ -95,9 +95,9 @@ class CounterRng:
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normals via Box-Muller on consecutive uniform pairs."""
         m = (n + 1) // 2
-        # u1 in (0, 1] so log(u1) is finite; u2 in [0, 1)
-        u1 = ((self.u64_block(m) >> _U11).astype(np.float64) + 1.0) * _INV53
-        u2 = (self.u64_block(m) >> _U11).astype(np.float64) * _INV53
+        # u1 in (0, 1] so log(u1) is finite: k * 2**-53 + 2**-53 is (k + 1) * 2**-53 exactly; u2 in [0, 1)
+        u1 = self.uniforms(m) + _INV53
+        u2 = self.uniforms(m)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * math.pi * u2
         out = np.empty(2 * m)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from fairaudit import ColumnRole, Dataset
 from fairaudit.rng import CounterRng
@@ -62,3 +63,13 @@ def integers(rng: CounterRng, upper: int, n: int) -> np.ndarray:
     if upper <= 0:
         raise ValueError("upper must be positive")
     return np.floor(rng.uniforms(n) * upper).astype(np.int64)
+
+
+def check_guard(call, error, message: str) -> None:
+    """``call()`` raises ``error`` with exactly ``message``; with no error, it returns a collection holding it."""
+    if error is None:
+        assert message in call()
+        return
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

@@ -167,6 +167,20 @@ MUTANTS = [
      'lambda v: v > 0.0, "> 0"', 'lambda v: not v <= 0.0, "> 0"', KILLED),
     ("lambda-range-unchecked", "cli.py",
      'type=_ranged(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")', "type=float", KILLED),
+    ("newton-undamped", "model.py",
+     "if new_loss <= loss:", "if True:", KILLED),
+    ("split-fraction-accepts-0", "data.py",
+     "if not 0.0 < test_fraction < 1.0:", "if not 0.0 <= test_fraction < 1.0:", KILLED),
+    ("split-fraction-accepts-1", "data.py",
+     "if not 0.0 < test_fraction < 1.0:", "if not 0.0 < test_fraction <= 1.0:", KILLED),
+    ("cross-validate-accepts-1-replicate", "model.py",
+     "if replicates < 2:", "if replicates < 1:", KILLED),
+    ("check-roles-imports-numpy-ma", "data.py",
+     "np.unique(values, return_counts=True)[0]", "np.unique(values)", KILLED),
+    ("negative-exponent-read-as-option", "cli.py",
+     'self._negative_number_matcher = re.compile(r"-(\\.?\\d|inf|nan)", re.IGNORECASE)', "pass", KILLED),
+    ("group-bias-infinite-accepted", "cli.py",
+     'type=_ranged(float, math.isfinite, "a finite number")', "type=float", KILLED),
     # modality counts in order of first appearance: the row-order relation of tests/test_cli.py sees it
     ("validate-modalities-in-row-order", "data.py",
      "np.unique(d.values(name), return_counts=True)",

@@ -375,6 +375,12 @@ MALFORMED = [
      "malformed model file nested.json"),
     ("model-nested-weights-explain", ["explain", *HAND, "--model", "nested.json"], 2,
      "malformed model file nested.json"),
+    ("model-weights-short", ["fliptest", *HAND, "--model", "weights-short.json"], 2,
+     "malformed model file weights-short.json: DataError: weight vector length does not match encoding dimension"),
+    ("model-weights-nan", ["fliptest", *HAND, "--model", "weights-nan.json"], 2,
+     "malformed model file weights-nan.json: DataError: model parameters must be finite"),
+    ("model-format-unknown", ["fliptest", *HAND, "--model", "format-2.json"], 2,
+     "malformed model file format-2.json: DataError: unsupported model format 'fairaudit-model/2'"),
     ("spec-seed-float", ["synth", "--spec", "seed-float.json", "--data", "o.csv"], 2,
      "malformed generator spec file seed-float.json"),
     ("spec-seed-null", ["synth", "--spec", "seed-null.json", "--data", "o.csv"], 2,
@@ -391,6 +397,9 @@ MALFORMED = [
     ("rule-threshold-out-of-range", ["audit", *GEN, "--threshold", "1.5"], 1, "(0, 1]"),
     ("score-threshold-out-of-range", ["fliptest", *GEN, "--model", "m.json",
                                       "--threshold", "1"], 1, "(0, 1)"),
+    # a negative exponent-form value is the flag's value, not an unknown option
+    ("lambda-below-0-bare-message", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv",
+                                     "--lambda", "-5e-324"], 1, "--lambda: must be in [0, 1], got '-5e-324'"),
     # the flip is defined by the model's indicator, so a table that does not match it is refused
     ("fliptest-model-of-another-sensitive-column", ["fliptest", "--data", "hand.csv", "--schema", "perf-schema.json",
                                                     "--model", "sex.json"], 2,
@@ -488,6 +497,9 @@ def malformed_inputs(tmp_path, monkeypatch):
         # positive and finite, so the file loads, but age standardizes to infinite values
         "sd-subnormal.json": lambda m: m["encoding"]["numeric"]["age"].update(sd=5e-324),
         "nested.json": lambda m: m.update(weights=[[w] for w in m["weights"]]),
+        "weights-short.json": lambda m: m["weights"].pop(),
+        "weights-nan.json": lambda m: m["weights"].__setitem__(0, float("nan")),  # json writes NaN, and reads it
+        "format-2.json": lambda m: m.update(format="fairaudit-model/2"),
         "sex.json": add_sex_indicator,
         # the file of a group-aware model with sex also declared categorical: encode would read it as sex=M
         "sex-twice.json": lambda m: (add_sex_indicator(m), m["encoding"]["categorical"].update(
@@ -530,14 +542,19 @@ BOUNDS = [
     ("replicates-0", ["train", *HAND, "--model", "m.json", "--replicates", "0"], 0),
     ("replicates-1", ["train", *HAND, "--model", "m.json", "--replicates", "1"], 1),
     ("replicates-2", ["train", *HAND, "--model", "m.json", "--replicates", "2"], 0),
+    # read as int() reads every other integer flag: a sign is a spelling, a superscript digit is not
+    ("replicates-plus-3", ["train", *HAND, "--model", "m.json", "--replicates", "+3"], 0),
+    ("replicates-superscript-2", ["train", *HAND, "--model", "m.json", "--replicates", "²"], 1),
     ("score-threshold-0", ["fliptest", *HAND, "--model", "model-hand.json", "--threshold", "0"], 1),
     ("lambda-1", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv", "--lambda", "1"], 0),
     ("lambda-minus-0", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv",
                         "--lambda", "-0.0"], 0),
     ("lambda-above-1", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv",
                         "--lambda", "1.0000000000000002"], 1),
-    # the = form: argparse would take a bare -5e-324 for an option, and refuse it for that reason
+    # the = form and the bare form read the same value: a negative float in any spelling is not an option
     ("lambda-below-0", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv", "--lambda=-5e-324"], 1),
+    ("lambda-below-0-bare", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv",
+                             "--lambda", "-5e-324"], 1),
     ("lambda-nan", ["repair", *HAND, "--features", "age", "--repaired-out", "r.csv", "--lambda", "nan"], 1),
     ("explain-replicates-0", ["explain", *HAND, "--model", "model-hand.json", "--replicates", "0"], 1),
     ("explain-replicates-1", ["explain", *HAND, "--model", "model-hand.json", "--replicates", "1"], 0),
@@ -562,6 +579,16 @@ BOUNDS = [
     ("synth-protected-fraction-0", ["synth", "--n", "20", "--protected-fraction", "0", "--data", "o.csv"], 1),
     ("synth-protected-fraction-1", ["synth", "--n", "20", "--protected-fraction", "1", "--data", "o.csv"], 1),
     ("synth-protected-fraction-1.5", ["synth", "--n", "20", "--protected-fraction", "1.5", "--data", "o.csv"], 1),
+    ("synth-group-bias-exponent", ["synth", "--n", "50", "--group-bias", "-1e-3", "--data", "o.csv"], 0),
+    ("synth-group-bias-inf", ["synth", "--n", "20", "--group-bias", "inf", "--data", "o.csv"], 1),
+    ("synth-group-bias-minus-inf", ["synth", "--n", "20", "--group-bias", "-inf", "--data", "o.csv"], 1),
+    ("synth-group-bias-nan", ["synth", "--n", "20", "--group-bias", "nan", "--data", "o.csv"], 1),
+    ("synth-target-di-0", ["synth", "--n", "20", "--target-di", "0", "--data", "o.csv"], 1),
+    ("synth-target-di-minus-1", ["synth", "--n", "20", "--target-di", "-1", "--data", "o.csv"], 1),
+    ("synth-target-di-nan", ["synth", "--n", "20", "--target-di", "nan", "--data", "o.csv"], 1),
+    # above 0 passes the flag; whether a group bias reaches it depends on the spec, which is data
+    ("synth-target-di-smallest-positive", ["synth", "--n", "20", "--target-di", "5e-324", "--data", "o.csv"], 2),
+    ("synth-target-di-1e9", ["synth", "--n", "20", "--target-di", "1e9", "--data", "o.csv"], 2),
 ]
 
 
@@ -673,7 +700,9 @@ def test_generated_specs_keep_the_exit_code_contract(tmp_path_factory, spec, tar
     work = tmp_path_factory.mktemp("spec")
     (work / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
     argv = ["synth", "--spec", str(work / "spec.json"), "--data", str(work / "o.csv"), "--no-timestamp"]
-    _assert_exit_code_contract(argv + ([] if target_di is None else ["--target-di", target_di]))
+    extra = [] if target_di is None else ["--target-di", target_di]
+    # 0 is out of the flag's range, refused before the spec file is read
+    _assert_exit_code_contract(argv + extra, (1,) if target_di == "0" else (0, 2))
 
 
 # -- metamorphic relations: an input change whose effect on the report is known ---------

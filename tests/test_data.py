@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from fairaudit import data as data_module
 from fairaudit.data import IGNORED, NUMERIC, READ_CHUNK_ROWS, WRITE_CHUNK_ROWS
 from fairaudit.rng import CounterRng
 
-from conftest import binary_dataset
+from conftest import binary_dataset, check_guard
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 SCHEMA = {
@@ -721,3 +723,53 @@ def test_validate_counts_missing_cells(tmp_path):
     path.write_text("x,s,y\n1,0,1\n,1,0\n,0,1\n,1,1\n5,0,0\n", encoding="utf-8")
     d = load_csv(path, SCHEMA)
     assert validate(d)["columns"]["x"]["missing"] == 3
+
+
+def test_checking_binary_roles_imports_no_masked_arrays():
+    # np.unique without counts asks np.ma.is_masked, whose first call imports numpy.ma
+    schema = json.loads((GOLDEN_INPUTS / "hand-schema.json").read_text(encoding="utf-8"))
+    code = ("import sys; from fairaudit import load_csv; before = 'numpy.ma' in sys.modules; "
+            f"load_csv({str(GOLDEN_INPUTS / 'hand.csv')!r}, {schema!r}); print(before, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(data_module.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    before, after = run.stdout.split()
+    assert after == before
+
+
+# -- guards ----------------------------------------------------------------------
+
+_S = ColumnRole("sensitive", protected="P")
+_Y = ColumnRole("decision", positive="1")
+
+# every guard that no other test reaches, with its message: (id, call, error, message)
+GUARDS = [
+    ("role-unknown-kind", lambda: ColumnRole("bogus"), SchemaError, "unknown column role 'bogus'"),
+    ("role-decision-without-positive", lambda: ColumnRole("decision"), SchemaError,
+     "decision role requires a 'positive' modality"),
+    ("schema-numeric-descriptor", lambda: parse_schema({"x": 3}), SchemaError,
+     "column 'x': descriptor must be a string or object"),
+    ("dataset-names-mismatched", lambda: Dataset({"s": _S}, {"t": ["P"]}), SchemaError,
+     "schema and columns must cover the same names"),
+    ("dataset-columns-unequal", lambda: Dataset({"s": _S, "y": _Y}, {"s": ["P", "N"], "y": ["1"]}), DataError,
+     "column 'y' has 1 entries, expected 2"),
+    ("dataset-no-row", lambda: Dataset({"s": _S}, {"s": []}), DataError, "dataset must contain at least one row"),
+    ("dataset-two-decisions", lambda: Dataset({"s": _S, "y": _Y, "z": _Y}, {"s": ["P"], "y": ["1"], "z": ["1"]}),
+     SchemaError, "at most one decision column allowed, found 2"),
+    ("values-unknown-name", lambda: binary_dataset(1, 1, 1, 1).values("z"), SchemaError, "no column named 'z'"),
+    ("with-values-unknown-name", lambda: binary_dataset(1, 1, 1, 1).with_values("z", ["1"] * 4), SchemaError,
+     "no column named 'z'"),
+    ("with-values-wrong-length", lambda: binary_dataset(1, 1, 1, 1).with_values("y", ["1"] * 3), DataError,
+     "replacement for 'y' has 3 entries, expected 4"),
+    ("split-fraction-0", lambda: split(binary_dataset(2, 2, 2, 2), 0.0, 0), DataError,
+     "test_fraction must be in (0, 1), got 0.0"),
+    ("split-fraction-1", lambda: split(binary_dataset(2, 2, 2, 2), 1.0, 0), DataError,
+     "test_fraction must be in (0, 1), got 1.0"),
+    # the rows of the other group alone: a flag in the report, not an error
+    ("validate-empty-protected-group", lambda: validate(binary_dataset(1, 1, 1, 1).take([2, 3]))["flags"], None,
+     "empty protected group"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [pytest.param(*row[1:], id=row[0]) for row in GUARDS])
+def test_guard_message(call, error, message):
+    check_guard(call, error, message)

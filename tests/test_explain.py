@@ -12,11 +12,11 @@ from fairaudit import (
 )
 from fairaudit.data import load_csv, parse_schema, read_json
 from fairaudit.model import (
-    FeatureEncoding, LogisticModel, NumericSpec, decide, load_model, predict_scores, target_mask,
+    FeatureEncoding, LogisticModel, NumericSpec, SensitiveSpec, decide, load_model, predict_scores, target_mask,
 )
 from fairaudit.rng import CounterRng, derive_seed
 
-from conftest import feature_dataset
+from conftest import check_guard, feature_dataset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -248,3 +248,21 @@ def test_surrogate_is_affine_equivariant(name, c, row):
     assert scaled.coefficients[other] == pytest.approx(ls.coefficients[other], rel=1e-12)
     assert scaled.intercept == pytest.approx(ls.intercept, rel=1e-12)
     assert scaled.r_squared == pytest.approx(ls.r_squared, rel=1e-12)
+
+
+def sensitive_only_model():
+    enc = FeatureEncoding(source_order=("s",), numeric={}, categorical={}, sensitive=SensitiveSpec("s", "a"))
+    return LogisticModel(encoding=enc, weights=np.array([1.0]), intercept=0.0, target="auto", target_column="y",
+                         converged=True)
+
+
+# every guard that no other test reaches, with its message: (id, call, error, message)
+GUARDS = [
+    ("surrogate-no-numeric-feature", lambda: local_surrogate(sensitive_only_model(), 0, two_feature_dataset(n=20)),
+     DataError, "model consumes no numeric features; nothing to perturb"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [pytest.param(*row[1:], id=row[0]) for row in GUARDS])
+def test_guard_message(call, error, message):
+    check_guard(call, error, message)

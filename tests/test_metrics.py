@@ -26,7 +26,7 @@ from fairaudit import (
 from fairaudit.metrics import corrected_rates
 from fairaudit.rng import CounterRng
 
-from conftest import binary_dataset, confusion_dataset
+from conftest import binary_dataset, check_guard, confusion_dataset
 
 
 # -- contingency -------------------------------------------------------------------
@@ -561,3 +561,24 @@ BOUNDARY = [
 def test_library_guard_at_its_bound(call, error):
     with pytest.raises(error) if error else contextlib.nullcontext():
         call()
+
+
+# every guard that no other test reaches, with its message: (id, call, error, message)
+GUARDS = [
+    ("contingency-negative-count", lambda: ContingencyTable(1, -1, 1, 1), DataError,
+     "contingency counts must be non-negative"),
+    ("interval-lo-above-hi", lambda: IntervalEstimate("disparate_impact", "delta", 0.95, 1.0, 0.5), ValueError,
+     "disparate_impact: lo 1.0 > hi 0.5"),
+    ("rates-empty-group", lambda: base_rates(ContingencyTable(0, 0, 1, 1)), DataError,
+     "both groups must be nonempty"),
+    ("verdict-undefined-estimate", lambda: eighty_percent_verdict(MetricEstimate("disparate_impact", None)),
+     DataError, "verdict requires a defined disparate-impact estimate"),
+    ("auc-shapes-mismatched", lambda: auc([0.1, 0.2], [1]), DataError,
+     "scores and outcomes must be 1-d sequences of equal length"),
+    ("auc-score-not-finite", lambda: auc([0.1, float("inf")], [1, 0]), DataError, "scores must be finite"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [pytest.param(*row[1:], id=row[0]) for row in GUARDS])
+def test_guard_message(call, error, message):
+    check_guard(call, error, message)

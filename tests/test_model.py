@@ -26,6 +26,7 @@ from fairaudit.model import (
     FeatureEncoding,
     LogisticModel,
     SensitiveSpec,
+    _newton,
     build_encoding,
     encode,
     load_model,
@@ -37,7 +38,7 @@ from fairaudit.model import (
 )
 from fairaudit.rng import CounterRng
 
-from conftest import feature_dataset
+from conftest import check_guard, feature_dataset
 
 
 def separable_toy(n_half=10):
@@ -206,6 +207,24 @@ def test_loss_non_increasing_over_iterations(monkeypatch):
         params = np.concatenate([[m.intercept], m.weights])
         losses.append(loss_and_gradient(params, X, target, L2)[0])
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def test_newton_halves_a_step_that_raises_the_loss(monkeypatch):
+    # a full Newton step from these four rows overshoots: the loss rises, and only the halved step is
+    # taken; a loop that takes every full step does not converge within MAX_ITER
+    X = np.array([[0.0, 2.0], [30.0, 2.0], [0.0, 30.0], [30.0, 0.0]])
+    y = np.array([1.0, 0.0, 0.0, 1.0])
+    losses = []
+
+    def recorded(*args):
+        loss, grad = loss_and_gradient(*args)
+        losses.append(loss)
+        return loss, grad
+
+    monkeypatch.setattr("fairaudit.model.loss_and_gradient", recorded)
+    _, converged = _newton(X, y)
+    assert converged
+    assert any(b > a for a, b in zip(losses, losses[1:]))  # a rejected full step
 
 
 def test_gradient_matches_central_differences():
@@ -487,3 +506,17 @@ def test_load_model_rejects_malformed_files(tmp_path):
         path.write_text(json.dumps(content), encoding="utf-8")
         with pytest.raises(DataError, match="malformed model file"):
             load_model(path)
+
+
+# every guard that no other test reaches, with its message: (id, call, error, message)
+GUARDS = [
+    ("train-unknown-target", lambda: train_logistic(separable_toy(), target="bogus"), DataError,
+     "unknown training target 'bogus'"),
+    ("cross-validate-1-replicate", lambda: cross_validate(separable_toy(), 1, 0.3, 0), DataError,
+     "cross-validation requires at least 2 replicates, got 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [pytest.param(*row[1:], id=row[0]) for row in GUARDS])
+def test_guard_message(call, error, message):
+    check_guard(call, error, message)

@@ -11,6 +11,8 @@ from fairaudit import ColumnRole, DataError, Dataset, apply_repair, fit_repair, 
 from fairaudit.repair import QuantileMap, load_plan, plan_from_dict, plan_to_dict, save_plan
 from fairaudit.rng import CounterRng
 
+from conftest import check_guard
+
 
 def toy_dataset():
     return Dataset(
@@ -392,3 +394,17 @@ def test_quantile_map_validation():
     for bad in ([1.0, np.nan], [1.0, np.inf], [-np.inf, 1.0]):
         with pytest.raises(DataError, match="must be sorted and finite"):
             QuantileMap(np.array(bad))
+
+
+# every guard that no other test reaches, with its message: (id, call, error, message)
+GUARDS = [
+    ("fit-no-feature", lambda: fit_repair(toy_dataset(), []), DataError, "no features listed for repair"),
+    ("distortion-no-comparable-value",
+     lambda: repair_distortion(toy_dataset(), toy_dataset().with_values("x", [np.nan] * 6), ["x"]), DataError,
+     "feature 'x' has no comparable values"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [pytest.param(*row[1:], id=row[0]) for row in GUARDS])
+def test_guard_message(call, error, message):
+    check_guard(call, error, message)
