@@ -56,8 +56,8 @@ def flip_test(m: LogisticModel, d: Dataset, threshold: float = 0.5) -> FlipTestR
     s = m.encoding.sensitive
     if s.name != d.sensitive_column:
         raise DataError(f"the model's sensitive column {s.name!r} is not the table's, {d.sensitive_column!r}")
-    if not (d.values(s.name) == s.protected).any() and len(labels := np.unique(d.values(s.name))) == 2:
-        raise DataError(f"no row has the model's protected label {s.protected!r}, but {s.name!r} holds {labels.tolist()}")
+    if not (d.values(s.name) == s.protected).any() and len(labels := list(d.modality_counts(s.name))) == 2:
+        raise DataError(f"no row has the model's protected label {s.protected!r}, but {s.name!r} holds {labels}")
 
     X = encode(m.encoding, d)
     before = decide(score_matrix(m, X), threshold)

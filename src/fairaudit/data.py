@@ -123,8 +123,8 @@ class Dataset:
 
     @classmethod
     def _unchecked(cls, schema: dict[str, ColumnRole], columns: dict[str, np.ndarray], n: int) -> "Dataset":
-        # bypass role validation for derived datasets whose structure is
-        # preserved by construction (row subsets, single-column swaps)
+        # skip _check_roles for derived datasets: a row subset keeps _binary_counts' rules
+        # and with_values checks them, but either may lose a declared modality
         d = cls.__new__(cls)
         d.schema = schema
         d._columns = columns
@@ -142,22 +142,21 @@ class Dataset:
         for name, role in self.schema.items():
             if role.kind not in _BINARY_KINDS:
                 continue
-            values = self._columns[name]
-            n_missing = int(np.count_nonzero(values == ""))
-            if n_missing:
-                raise DataError(f"column {name!r} ({role.kind}) has {n_missing} missing values")
-            # with counts, np.unique skips its np.ma.is_masked test, whose first call imports numpy.ma
-            observed = set(np.unique(values, return_counts=True)[0].tolist())
-            if len(observed) > 2:
-                raise DataError(
-                    f"column {name!r} ({role.kind}) must be binary, "
-                    f"found {len(observed)} distinct values"
-                )
             declared = role.protected if role.kind == SENSITIVE else role.positive
-            if declared not in observed:
+            if declared not in self._binary_counts(name):
                 raise DataError(
                     f"column {name!r}: declared modality {declared!r} not among observed values"
                 )
+
+    def _binary_counts(self, name: str) -> dict[str, int]:
+        """A binary column's modality counts, once it passes the rules that every row subset keeps."""
+        counts = self.modality_counts(name)
+        kind = self.schema[name].kind
+        if n_missing := counts.get("", 0):
+            raise DataError(f"column {name!r} ({kind}) has {n_missing} missing values")
+        if len(counts) > 2:
+            raise DataError(f"column {name!r} ({kind}) must be binary, found {len(counts)} distinct values")
+        return counts
 
     # -- basic access ----------------------------------------------------------
 
@@ -165,6 +164,12 @@ class Dataset:
         if name not in self._columns:
             raise SchemaError(f"no column named {name!r}")
         return self._columns[name]
+
+    def modality_counts(self, name: str) -> dict[str, int]:
+        """Each label of a text column ("" for a missing cell) and its row count, in sorted order."""
+        # asking for counts skips numpy's np.ma.is_masked test, whose first call imports numpy.ma
+        labels, counts = np.unique(self.values(name), return_counts=True)
+        return dict(zip(labels.tolist(), counts.tolist()))
 
     def missing_mask(self, name: str) -> np.ndarray:
         col = self.values(name)
@@ -208,7 +213,7 @@ class Dataset:
         """(protected label, non-protected label). Degenerate columns repeat the label."""
         name = self.sensitive_column
         protected = self.schema[name].protected
-        others = [v for v in np.unique(self.values(name)).tolist() if v != protected]
+        others = [v for v in self.modality_counts(name) if v != protected]
         return str(protected), str(others[0]) if others else str(protected)
 
     def _binary_mask(self, kind: str) -> np.ndarray:
@@ -245,7 +250,10 @@ class Dataset:
             raise DataError(f"replacement for {name!r} has {len(arr)} entries, expected {self.n}")
         cols = dict(self._columns)
         cols[name] = arr
-        return Dataset._unchecked(self.schema, cols, self.n)
+        out = Dataset._unchecked(self.schema, cols, self.n)
+        if role.kind in _BINARY_KINDS:  # it may lose its declared modality, as a row subset may
+            out._binary_counts(name)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -440,8 +448,7 @@ def save_csv(d: Dataset, path: str | Path) -> None:
     """Write the dataset back out; numeric cells use shortest round-trip repr.
 
     The bytes are the csv module's (QUOTE_MINIMAL, CRLF line ends): a text
-    cell is quoted, each ``"`` doubled, when it holds ``,``, ``"``, CR or LF, and
-    a one-column row whose cell is empty is written ``""``.
+    cell is quoted, each ``"`` doubled, when it holds ``,``, ``"``, CR or LF.
     """
     path = Path(path)
     names = list(d.schema)
@@ -458,8 +465,6 @@ def save_csv(d: Dataset, path: str | Path) -> None:
                 elif _needs_quotes("".join(cells)):
                     cells = ['"' + c.replace('"', '""') + '"' if _needs_quotes(c) else c for c in cells]
                 cols.append(cells)
-            if len(cols) == 1:
-                cols[0] = [c or '""' for c in cols[0]]
             fh.write("".join(",".join(row) + "\r\n" for row in zip(*cols)))
 
 
@@ -523,8 +528,7 @@ def validate(d: Dataset) -> dict:
     for name, role in d.schema.items():
         entry: dict = {"role": role.kind, "missing": int(np.count_nonzero(d.missing_mask(name)))}
         if role.kind in _BINARY_KINDS:
-            values, counts = np.unique(d.values(name), return_counts=True)
-            entry["modalities"] = {str(v): int(c) for v, c in zip(values, counts)}
+            entry["modalities"] = d.modality_counts(name)
             if role.kind == SENSITIVE:
                 entry["protected"] = role.protected
             else:

@@ -53,6 +53,11 @@ class FeatureEncoding:
     sensitive: SensitiveSpec | None
     dropped: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        names = self.feature_names
+        if clash := sorted({f for f in names if names.count(f) > 1}):
+            raise DataError(f"design-matrix feature names {clash} are not unique")
+
     def column_features(self, col: str) -> list[str]:
         """Names of the design-matrix columns that one source column encodes to."""
         if col in self.numeric:
@@ -106,8 +111,7 @@ def build_encoding(d: Dataset, include_sensitive: bool = False) -> FeatureEncodi
             numeric[name] = NumericSpec(name, mean, sd)
             order.append(name)
         elif role.kind == CATEGORICAL:
-            present = d.values(name)[~d.missing_mask(name)]
-            modalities = tuple(sorted(np.unique(present).tolist()))
+            modalities = tuple(m for m in d.modality_counts(name) if m)  # sorted; "" is a missing cell
             categorical[name] = CategoricalSpec(name, modalities)
             order.append(name)
 

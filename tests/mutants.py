@@ -130,7 +130,8 @@ MUTANTS = [
     ("flip-sensitive-column-unchecked", "audit.py",
      "if s.name != d.sensitive_column:", "if False:", KILLED),
     ("flip-protected-label-unchecked", "audit.py",
-     "if not (d.values(s.name) == s.protected).any() and", "if False and", KILLED),
+     "if not (d.values(s.name) == s.protected).any() and len(labels := list(d.modality_counts(s.name))) == 2:",
+     "if False:", KILLED),
     ("model-file-kind-twice-accepted", "model.py",
      "if twice := sorted({c for c in specs if specs.count(c) > 1}):", "if twice := []:", KILLED),
     ("model-file-source-order-unchecked", "model.py",
@@ -175,16 +176,23 @@ MUTANTS = [
      "if not 0.0 < test_fraction < 1.0:", "if not 0.0 < test_fraction <= 1.0:", KILLED),
     ("cross-validate-accepts-1-replicate", "model.py",
      "if replicates < 2:", "if replicates < 1:", KILLED),
+    # the same labels and counts, but the labels from np.unique without counts
     ("check-roles-imports-numpy-ma", "data.py",
-     "np.unique(values, return_counts=True)[0]", "np.unique(values)", KILLED),
+     "np.unique(self.values(name), return_counts=True)",
+     "np.unique(self.values(name)), np.bincount(np.unique(self.values(name), return_inverse=True)[1])", KILLED),
     ("negative-exponent-read-as-option", "cli.py",
      'self._negative_number_matcher = re.compile(r"-(\\.?\\d|inf|nan)", re.IGNORECASE)', "pass", KILLED),
     ("group-bias-infinite-accepted", "cli.py",
      'type=_ranged(float, math.isfinite, "a finite number")', "type=float", KILLED),
     # modality counts in order of first appearance: the row-order relation of tests/test_cli.py sees it
     ("validate-modalities-in-row-order", "data.py",
-     "np.unique(d.values(name), return_counts=True)",
-     'zip(*__import__("collections").Counter(d.values(name).tolist()).items())', KILLED),
+     'entry["modalities"] = d.modality_counts(name)',
+     'entry["modalities"] = {v: d.modality_counts(name)[v] for v in dict.fromkeys(d.values(name).tolist())}',
+     KILLED),
+    ("with-values-skips-binary-check", "data.py",
+     "            out._binary_counts(name)\n", "            pass\n", KILLED),
+    ("feature-name-clash-accepted", "model.py",
+     "if clash := sorted({f for f in names if names.count(f) > 1}):", "if clash := []:", KILLED),
     # The total test size needs no clamp of its own: the per-group clamps bound
     # every count (tests/test_data.py checks every table with n <= 36).
     ("split-total-clamp-restored", "data.py",

@@ -414,6 +414,9 @@ MALFORMED = [
      "malformed model file sex-twice.json: DataError: encoding names ['sex'] under more than one kind"),
     ("model-sensitive-not-in-source-order", ["fliptest", *HAND, "--model", "sex-unordered.json"], 2,
      "malformed model file sex-unordered.json: DataError: encoding.source_order"),
+    # a numeric feature named as region's dummy column for "north": its weight could not be told apart
+    ("model-feature-name-clash", ["explain", *HAND, "--model", "region-clash.json", "--row", "0"], 2,
+     "malformed model file region-clash.json: DataError: design-matrix feature names ['region=north'] are not unique"),
     ("synth-one-row", ["synth", "--n", "1", "--data", "o.csv"], 2,
      "the n=1 rows drawn with seed 0 hold one sensitive group, not both"),
     ("synth-one-group", ["synth", "--n", "3", "--seed", "1", "--protected-fraction", "0.99", "--data", "o.csv"], 2,
@@ -506,6 +509,9 @@ def malformed_inputs(tmp_path, monkeypatch):
             sex={"name": "sex", "modalities": ["F", "M"]})),
         # a sensitive spec that source_order leaves out: no indicator column to flip
         "sex-unordered.json": lambda m: m["encoding"].update(sensitive={"name": "sex", "protected": "F"}),
+        "region-clash.json": lambda m: (m["encoding"]["numeric"].update(
+            {"region=north": {"name": "region=north", "mean": 0.0, "sd": 1.0}}),
+            m["encoding"]["source_order"].insert(0, "region=north"), m["weights"].insert(0, 0.5)),
     }
     for name, edit in model_edits.items():
         model = json.loads((GOLDEN / "expected" / "model-hand.json").read_text(encoding="utf-8"))

@@ -190,11 +190,11 @@ def test_save_csv_bytes_match_csv_writer(tmp_path_factory, data):
     assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
-def test_save_csv_writes_an_empty_one_column_cell_quoted(tmp_path):
-    d = Dataset({"s": ColumnRole("sensitive", protected="P")}, {"s": ["P", "N"]}).with_values("s", ["P", ""])
-    save_csv(d, tmp_path / "new.csv")
-    save_csv_reference(d, tmp_path / "ref.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes() == b's\r\nP\r\n""\r\n'
+def test_with_values_refuses_an_empty_cell_of_a_one_column_table():
+    # a one-column table is its sensitive column, so save_csv never writes an empty one-column row
+    d = Dataset({"s": ColumnRole("sensitive", protected="P")}, {"s": ["P", "N"]})
+    with pytest.raises(DataError, match="column 's' \\(sensitive\\) has 1 missing values"):
+        d.with_values("s", ["P", ""])
 
 
 # any text a UTF-8 CSV can carry: no lone surrogates, no NUL
@@ -228,6 +228,13 @@ def test_columns_are_immutable():
     d = binary_dataset(2, 2, 2, 2)
     with pytest.raises(ValueError):
         d.values("y")[0] = "0"
+
+
+def test_modality_counts_are_sorted_and_count_missing_cells():
+    d = Dataset({"c": ColumnRole("categorical"), "s": ColumnRole("sensitive", protected="P")},
+                {"c": ["b", "", "a", "b", ""], "s": ["P", "N", "P", "N", "P"]})
+    assert list(d.modality_counts("c").items()) == [("", 2), ("a", 1), ("b", 2)]
+    assert list(d.modality_counts("s").items()) == [("N", 2), ("P", 3)]
 
 
 def test_with_values_leaves_original_untouched():
@@ -726,14 +733,17 @@ def test_validate_counts_missing_cells(tmp_path):
 
 
 def test_checking_binary_roles_imports_no_masked_arrays():
-    # np.unique without counts asks np.ma.is_masked, whose first call imports numpy.ma
+    # np.unique without counts asks np.ma.is_masked, whose first call imports numpy.ma;
+    # hand.csv has a categorical column, whose modalities train_logistic counts
     schema = json.loads((GOLDEN_INPUTS / "hand-schema.json").read_text(encoding="utf-8"))
-    code = ("import sys; from fairaudit import load_csv; before = 'numpy.ma' in sys.modules; "
-            f"load_csv({str(GOLDEN_INPUTS / 'hand.csv')!r}, {schema!r}); print(before, 'numpy.ma' in sys.modules)")
+    code = ("import sys; from fairaudit import apply_repair, fit_repair, load_csv, train_logistic; "
+            "seen = lambda: 'numpy.ma' in sys.modules; before = seen(); "
+            f"d = load_csv({str(GOLDEN_INPUTS / 'hand.csv')!r}, {schema!r}); loaded = seen(); "
+            "train_logistic(d); trained = seen(); apply_repair(fit_repair(d, ['age', 'income']), d, 1.0); "
+            "print(before, loaded, trained, seen())")
     env = {**os.environ, "PYTHONPATH": str(Path(data_module.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    before, after = run.stdout.split()
-    assert after == before
+    assert run.stdout.split() == ["False"] * 4
 
 
 # -- guards ----------------------------------------------------------------------
@@ -760,6 +770,11 @@ GUARDS = [
      "no column named 'z'"),
     ("with-values-wrong-length", lambda: binary_dataset(1, 1, 1, 1).with_values("y", ["1"] * 3), DataError,
      "replacement for 'y' has 3 entries, expected 4"),
+    # the rules that a row subset keeps hold for a replaced binary column too
+    ("with-values-binary-missing-cell", lambda: binary_dataset(1, 1, 1, 1).with_values("y", ["1", "", "", "0"]),
+     DataError, "column 'y' (decision) has 2 missing values"),
+    ("with-values-binary-third-label", lambda: binary_dataset(1, 1, 1, 1).with_values("s", ["P", "N", "Q", "P"]),
+     DataError, "column 's' (sensitive) must be binary, found 3 distinct values"),
     ("split-fraction-0", lambda: split(binary_dataset(2, 2, 2, 2), 0.0, 0), DataError,
      "test_fraction must be in (0, 1), got 0.0"),
     ("split-fraction-1", lambda: split(binary_dataset(2, 2, 2, 2), 1.0, 0), DataError,

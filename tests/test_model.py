@@ -94,6 +94,19 @@ def test_encoding_one_hot_lexicographic_reference():
     assert X[2].tolist() == [1.0, 0.0]
 
 
+def test_training_refuses_two_features_of_one_name():
+    # numeric "a=b" and the dummy of categorical "a" for its modality "b" would both be named "a=b"
+    d = Dataset(
+        {"a=b": ColumnRole("numeric"), "a": ColumnRole("categorical"), "s=P": ColumnRole("numeric"),
+         "s": ColumnRole("sensitive", protected="P"), "y": ColumnRole("decision", positive="1")},
+        {"a=b": [1.0, 2.0, 3.0, 4.0], "a": ["a", "b", "a", "b"], "s=P": [4.0, 2.0, 3.0, 1.0],
+         "s": ["P", "N", "P", "N"], "y": ["1", "0", "0", "1"]},
+    )
+    check_guard(lambda: train_logistic(d), DataError, "design-matrix feature names ['a=b'] are not unique")
+    check_guard(lambda: train_logistic(d, include_sensitive=True), DataError,
+                "design-matrix feature names ['a=b', 's=P'] are not unique")
+
+
 def test_encoding_drops_constant_column_with_warning():
     d = Dataset(
         {"x": ColumnRole("numeric"), "z": ColumnRole("numeric"),
