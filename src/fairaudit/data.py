@@ -53,6 +53,9 @@ class ColumnRole:
             raise SchemaError("sensitive role requires a 'protected' modality")
         if self.kind in (DECISION, OUTCOME) and self.positive is None:
             raise SchemaError(f"{self.kind} role requires a 'positive' modality")
+        for key, value in (("protected", self.protected), ("positive", self.positive)):
+            if value is not None and not isinstance(value, str):
+                raise SchemaError(f"the {key!r} modality must be a string, got {value!r}")
 
 
 def parse_schema(spec: Mapping[str, object]) -> dict[str, ColumnRole]:
@@ -407,41 +410,27 @@ def _loadtxt(lines, kinds: list[str], max_rows: int | None = None) -> list[np.nd
 
 
 def _read_records(path: Path, reader, header: list[str], numeric: list[bool]) -> list[np.ndarray]:
-    """The columns of the records left in ``reader``, a chunk of records at a time."""
+    """The columns of the records left in ``reader``, a chunk at a time. Each record is checked as it is
+    read: its field count, then each numeric cell in header order, replaced by its float (NaN if empty)."""
     # column-wise, a chunk of rows at a time: the row lists die with their chunk
     parts: list[list[np.ndarray]] = [[] for _ in header]
-    first_row = 2  # record number of the chunk's first row; the header is row 1
+    numeric_at = [j for j, is_num in enumerate(numeric) if is_num]
+    i = 1  # record number of the row last read; the header is row 1
     while rows := list(islice(reader, READ_CHUNK_ROWS)):
-        try:
-            if set(map(len, rows)) != {len(header)}:
-                raise ValueError  # a ragged chunk: the row scan names the record
-            cols = [np.array([float(c) if c else np.nan for c in cells]) if is_num
-                    else np.array(cells, dtype=str)
-                    for cells, is_num in zip(zip(*rows), numeric)]
-        except ValueError:
-            _raise_first_bad_row(path, header, numeric, rows, first_row)
-        for part, col in zip(parts, cols):
-            part.append(col)
-        first_row += len(rows)
-    if first_row == 2:
+        for i, row in enumerate(rows, i + 1):
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
+            try:
+                for j in numeric_at:
+                    row[j] = float(row[j]) if row[j] else np.nan
+            except ValueError:
+                raise DataError(f"{path}: row {i}, column {header[j]!r}: "
+                                f"cannot parse {row[j]!r} as a number") from None
+        for part, cells, is_num in zip(parts, zip(*rows), numeric):
+            part.append(np.array(cells, dtype=np.float64 if is_num else str))
+    if i == 1:
         raise DataError(f"{path}: no data rows")
     return [np.concatenate(part) for part in parts]
-
-
-def _raise_first_bad_row(path: Path, header: list[str], numeric: list[bool],
-                         rows: list[list[str]], first_row: int) -> None:
-    """Raise the error of the first record in a chunk that is ragged or holds a non-number."""
-    for i, row in enumerate(rows, first_row):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-        for name, is_num, cell in zip(header, numeric, row):
-            if is_num and cell:
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number"
-                    ) from None
 
 
 def save_csv(d: Dataset, path: str | Path) -> None:

@@ -93,6 +93,9 @@ def fit_repair(d: Dataset, features: list[str]) -> RepairPlan:
     """Fit group quantile maps for the listed numeric features."""
     if not features:
         raise DataError("no features listed for repair")
+    repeated = sorted({name for name in features if features.count(name) > 1})
+    if repeated:
+        raise DataError(f"features {repeated} are listed more than once")
     masks = _group_masks(d, features)
     maps: dict[str, tuple[QuantileMap, QuantileMap]] = {}
     for name in features:

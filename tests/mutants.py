@@ -150,6 +150,11 @@ MUTANTS = [
      "if col.dtype == object and max(map(len, col)) >= csv.field_size_limit():", "if False:", KILLED),
     ("csv-warned-chunk-kept", "data.py",
      'warnings.simplefilter("error", UserWarning)', 'warnings.simplefilter("ignore", UserWarning)', KILLED),
+    # the csv module's route: a ragged record read whole, an empty numeric cell read as 0
+    ("csv-module-field-count-unchecked", "data.py",
+     "if len(row) != len(header):", "if False:", KILLED),
+    ("csv-module-empty-numeric-cell-zero", "data.py",
+     "row[j] = float(row[j]) if row[j] else np.nan", "row[j] = float(row[j]) if row[j] else 0.0", KILLED),
     ("csv-write-cr-unquoted", "data.py",
      """'"' in text or "\\r" in text""", """'"' in text""", KILLED),
     ("contingency-refuses-one-row", "metrics.py",

@@ -417,6 +417,12 @@ MALFORMED = [
     # a numeric feature named as region's dummy column for "north": its weight could not be told apart
     ("model-feature-name-clash", ["explain", *HAND, "--model", "region-clash.json", "--row", "0"], 2,
      "malformed model file region-clash.json: DataError: design-matrix feature names ['region=north'] are not unique"),
+    ("schema-protected-list", ["validate", "--data", "hand.csv", "--schema", "protected-list.json"], 2,
+     "the 'protected' modality must be a string, got ['F']"),
+    ("schema-positive-number", ["validate", "--data", "hand.csv", "--schema", "positive-number.json"], 2,
+     "the 'positive' modality must be a string, got 1"),
+    ("repair-feature-twice", ["repair", *GEN, "--features", "x1,x1", "--repaired-out", "r.csv"], 2,
+     "features ['x1'] are listed more than once"),
     ("synth-one-row", ["synth", "--n", "1", "--data", "o.csv"], 2,
      "the n=1 rows drawn with seed 0 hold one sensitive group, not both"),
     ("synth-one-group", ["synth", "--n", "3", "--seed", "1", "--protected-fraction", "0.99", "--data", "o.csv"], 2,
@@ -482,7 +488,9 @@ def malformed_inputs(tmp_path, monkeypatch):
         (tmp_path / name).write_text(json.dumps(schema), encoding="utf-8")
     schema = json.loads((GOLDEN / "inputs" / "hand-schema.json").read_text(encoding="utf-8"))
     edits = {"perf-schema.json": {"sex": "categorical", "performed": {"role": "sensitive", "protected": "yes"}},
-             "fm-schema.json": {"sex": {"role": "sensitive", "protected": "female"}}}
+             "fm-schema.json": {"sex": {"role": "sensitive", "protected": "female"}},
+             "protected-list.json": {"sex": {"role": "sensitive", "protected": ["F"]}},
+             "positive-number.json": {"hired": {"role": "decision", "positive": 1}}}
     for name, edit in edits.items():
         (tmp_path / name).write_text(json.dumps({**schema, **edit}), encoding="utf-8")
     rows = list(csv.reader(io.StringIO((GOLDEN / "inputs" / "hand.csv").read_text(encoding="utf-8"))))

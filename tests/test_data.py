@@ -516,9 +516,15 @@ def test_load_csv_keeps_the_csv_field_size_limit(tmp_path, extra):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("text", ["x,s\n1_0,P\n,N\n", "x,s\n1,P\noops,N\n"])
-def test_load_csv_reads_a_pipe_in_one_pass(tmp_path, text):
+@pytest.mark.parametrize("text, chunk, error", [pytest.param(*case, id=case[0]) for case in [
+    ("x,s\n1_0,P\n,N\n", READ_CHUNK_ROWS, None),
+    ("x,s\n1,P\noops,N\n", READ_CHUNK_ROWS, "pipe.csv: row 3, column 'x': cannot parse 'oops' as a number"),
+    # chunks of two records: the bad one, row 7, is the second of the third chunk
+    ("x,s\n1,P\n2,N\n3,P\n4,N\n5,P\nsix,N\n7,P\n", 2, "pipe.csv: row 7, column 'x': cannot parse 'six' as a number"),
+]])
+def test_load_csv_reads_a_pipe_in_one_pass(tmp_path, monkeypatch, text, chunk, error):
     # a pipe cannot be read twice, so the csv module reads it from the start
+    monkeypatch.setattr(data_module, "READ_CHUNK_ROWS", chunk)
     write_csv(tmp_path, text)
     os.mkfifo(tmp_path / "pipe.csv")
     writer = threading.Thread(target=(tmp_path / "pipe.csv").write_text, args=(text,), daemon=True)
@@ -528,6 +534,7 @@ def test_load_csv_reads_a_pipe_in_one_pass(tmp_path, text):
     assert not writer.is_alive()
     want = _load_outcome(load_csv, tmp_path / "d.csv", XS_SCHEMA)
     assert got == want if isinstance(want, Dataset) else got == (want[0], want[1].replace("d.csv", "pipe.csv"))
+    assert error is None if isinstance(got, Dataset) else got[1].endswith(error)
 
 
 def benchmark_style_rows(n: int, seed: int = 0) -> list[list[str]]:
