@@ -35,8 +35,7 @@ class FlipTestResult:
 
 def swap_sensitive(enc: FeatureEncoding, X: np.ndarray) -> np.ndarray:
     """Copy of a design matrix with the protected-group indicator column flipped."""
-    order = enc.source_order
-    j = sum(len(enc.column_features(c)) for c in order[:order.index(enc.sensitive.name)])
+    j = enc.blocks[enc.sensitive.name].start
     flipped = X.copy()
     flipped[:, j] = 1.0 - X[:, j]
     return flipped
@@ -51,9 +50,9 @@ def flip_test(m: LogisticModel, d: Dataset, threshold: float = 0.5) -> FlipTestR
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if not m.uses_sensitive:
-        return FlipTestResult(n=d.n, to_positive=[], to_negative=[], vacuous=True)
     s = m.encoding.sensitive
+    if s is None:
+        return FlipTestResult(n=d.n, to_positive=[], to_negative=[], vacuous=True)
     if s.name != d.sensitive_column:
         raise DataError(f"the model's sensitive column {s.name!r} is not the table's, {d.sensitive_column!r}")
     if not (d.values(s.name) == s.protected).any() and len(labels := list(d.modality_counts(s.name))) == 2:

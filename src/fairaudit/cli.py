@@ -142,7 +142,7 @@ def _emit(report: dict, args) -> None:
 
 def _meta(args, d: Dataset | None) -> dict:
     meta = {"tool": "fairaudit", "version": __version__, "subcommand": args.subcommand}
-    if args.seed is not None:
+    if "seed" in args:
         meta["seed"] = args.seed
     if d is not None:
         s_name = d.sensitive_column
@@ -348,13 +348,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p: argparse.ArgumentParser, model: bool = False, schema: bool = True,
-               threshold: str | None = "--threshold") -> None:
+               threshold: str | None = "--threshold", seeded: bool = True) -> None:
         p.add_argument("--data", required=True, help="CSV file path")
         if schema:
             p.add_argument("--schema", required=True, help="JSON role-declaration path")
         p.add_argument("--out", help="report path (JSON; Markdown derived)")
         p.add_argument("--format", choices=("json", "md", "both"), default="json")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:  # only a subcommand that draws takes a seed
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-stable reports")
         if threshold:
@@ -365,11 +366,11 @@ def _build_parser() -> _Parser:
         p.set_defaults(outputs=("out",))  # the flags naming files the subcommand writes
 
     p = sub.add_parser("validate", help="data report: roles, missing cells, group sizes")
-    common(p, threshold=None)
+    common(p, threshold=None, seeded=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("audit", help="disparity metrics, intervals, four-fifths verdict")
-    common(p, threshold="--decision-threshold")
+    common(p, threshold="--decision-threshold", seeded=False)
     p.add_argument("--model", help="model JSON path for the flip-test section")
     p.add_argument("--level", type=_FRACTION, default=0.95, help="confidence level")
     p.add_argument("--threshold", type=_ranged(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
@@ -386,7 +387,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train, outputs=("model", "out"), seed=0)
 
     p = sub.add_parser("fliptest", help="flip-test a serialized model")
-    common(p, model=True)
+    common(p, model=True, seeded=False)
     p.set_defaults(func=_cmd_fliptest)
 
     p = sub.add_parser("repair", help="fit/apply quantile repair, write repaired CSV")

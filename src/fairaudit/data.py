@@ -49,11 +49,12 @@ class ColumnRole:
     def __post_init__(self):
         if self.kind not in ROLE_KINDS:
             raise SchemaError(f"unknown column role {self.kind!r}")
-        if self.kind == SENSITIVE and self.protected is None:
-            raise SchemaError("sensitive role requires a 'protected' modality")
-        if self.kind in (DECISION, OUTCOME) and self.positive is None:
-            raise SchemaError(f"{self.kind} role requires a 'positive' modality")
-        for key, value in (("protected", self.protected), ("positive", self.positive)):
+        for key, value, kinds in (("protected", self.protected, (SENSITIVE,)),
+                                  ("positive", self.positive, (DECISION, OUTCOME))):
+            if value is None and self.kind in kinds:
+                raise SchemaError(f"{self.kind} role requires a {key!r} modality")
+            if value is not None and self.kind not in kinds:
+                raise SchemaError(f"the {key!r} modality belongs to the {' or '.join(kinds)} role, not {self.kind}")
             if value is not None and not isinstance(value, str):
                 raise SchemaError(f"the {key!r} modality must be a string, got {value!r}")
 

@@ -48,14 +48,12 @@ def permutation_importance(m: LogisticModel, d: Dataset, threshold: float = 0.5,
     if repeats < 1:
         raise DataError(f"repeats must be >= 1, got {repeats}")
     y = target_mask(m, d)
-    enc = m.encoding
-    X = encode(enc, d)
+    X = encode(m.encoding, d)
     baseline = float(np.mean(decide(score_matrix(m, X), threshold) == y))
 
     # encoding is row-wise, so permuting a column's rows permutes exactly its
     # block of design-matrix columns; a column with no block scores 0.0 undrawn
-    bounds = np.cumsum([0] + [len(enc.column_features(c)) for c in enc.source_order])
-    blocks = {c: slice(lo, hi) for c, lo, hi in zip(enc.source_order, bounds[:-1], bounds[1:]) if hi > lo}
+    blocks = m.encoding.blocks
 
     columns = d.numeric_features + d.categorical_features + [d.sensitive_column]
     importances = dict.fromkeys(columns, 0.0)
@@ -87,7 +85,8 @@ def local_surrogate(m: LogisticModel, row: int, d: Dataset, n_samples: int = 100
     """
     if not 0 <= row < d.n:
         raise DataError(f"row index {row} out of range for n={d.n}")
-    numeric = [name for name in m.encoding.source_order if name in m.encoding.numeric]
+    # each numeric feature, in source order, and its column in the design matrix
+    numeric = {name: block.start for name, block in m.encoding.blocks.items() if name in m.encoding.numeric}
     if not numeric:
         raise DataError("model consumes no numeric features; nothing to perturb")
     if n_samples < 10 * len(numeric):
@@ -97,11 +96,9 @@ def local_surrogate(m: LogisticModel, row: int, d: Dataset, n_samples: int = 100
     if not kernel_width > 0:
         raise DataError(f"kernel width must be positive, got {kernel_width}")
 
-    # base encoded row (imputation and dummies included), and where the
-    # numeric features live inside it
+    # base encoded row (imputation and dummies included)
     base = encode(m.encoding, d.take([row]))[0]
-    feature_names = m.encoding.feature_names
-    positions = [feature_names.index(name) for name in numeric]
+    positions = list(numeric.values())
     means = np.array([m.encoding.numeric[n].mean for n in numeric])
     sds = np.array([m.encoding.numeric[n].sd for n in numeric])
 

@@ -14,11 +14,6 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError
 
-RISK_DIFFERENCE = "risk_difference"
-DISPARATE_IMPACT = "disparate_impact"
-RELATIVE_CHANCE = "relative_chance"
-ODDS_RATIO = "odds_ratio"
-
 
 @dataclass(frozen=True)
 class ContingencyTable:
@@ -155,10 +150,10 @@ def disparity_metrics(r: GroupRates) -> dict[str, MetricEstimate]:
     di = r.p1 / r.p2
     cr = (1.0 - r.p1) / (1.0 - r.p2)
     values = {
-        RISK_DIFFERENCE: r.p1 - r.p2,
-        DISPARATE_IMPACT: di,
-        RELATIVE_CHANCE: cr,
-        ODDS_RATIO: di / cr,
+        "risk_difference": r.p1 - r.p2,
+        "disparate_impact": di,
+        "relative_chance": cr,
+        "odds_ratio": di / cr,
     }
     return {
         name: MetricEstimate(name, value, corrected=r.corrected)

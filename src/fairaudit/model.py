@@ -57,6 +57,11 @@ class FeatureEncoding:
         names = self.feature_names
         if clash := sorted({f for f in names if names.count(f) > 1}):
             raise DataError(f"design-matrix feature names {clash} are not unique")
+        specs = [*self.numeric, *self.categorical, *([self.sensitive.name] if self.sensitive else [])]
+        if twice := sorted({c for c in specs if specs.count(c) > 1}):
+            raise DataError(f"encoding names {twice} under more than one kind")
+        if sorted(self.source_order) != sorted(specs):
+            raise DataError(f"encoding.source_order {list(self.source_order)} must name each of {sorted(specs)} once")
 
     def column_features(self, col: str) -> list[str]:
         """Names of the design-matrix columns that one source column encodes to."""
@@ -75,6 +80,16 @@ class FeatureEncoding:
     @property
     def dimension(self) -> int:
         return len(self.feature_names)
+
+    @property
+    def blocks(self) -> dict[str, slice]:
+        """Each source column that encodes to at least one design-matrix column -> the slice of them."""
+        blocks, stop = {}, 0
+        for col in self.source_order:
+            if width := len(self.column_features(col)):
+                blocks[col] = slice(stop, stop + width)
+                stop += width
+        return blocks
 
 
 def _numeric_feature(d: Dataset, name: str) -> np.ndarray:
@@ -132,7 +147,8 @@ def build_encoding(d: Dataset, include_sensitive: bool = False) -> FeatureEncodi
 
 def encode(enc: FeatureEncoding, d: Dataset) -> np.ndarray:
     """Design matrix for a dataset under a fitted encoding."""
-    cols: list[np.ndarray] = []
+    X = np.empty((d.n, enc.dimension))
+    blocks = enc.blocks
     for name in enc.source_order:
         if name in enc.numeric:
             spec = enc.numeric[name]
@@ -142,7 +158,7 @@ def encode(enc: FeatureEncoding, d: Dataset) -> np.ndarray:
                 z = (x - spec.mean) / spec.sd
             if not np.isfinite(z).all():
                 raise DataError(f"numeric column {name!r} overflows when standardized by the model's sd")
-            cols.append(z)
+            X[:, blocks[name].start] = z
         elif name in enc.categorical:
             spec = enc.categorical[name]
             values = d.values(name)
@@ -152,13 +168,11 @@ def encode(enc: FeatureEncoding, d: Dataset) -> np.ndarray:
                     f"column {name!r}: {int(np.count_nonzero(~known))} values outside "
                     "the training modalities encoded as all-zeros"
                 )
-            for m in spec.modalities[1:]:
-                cols.append((values == m).astype(np.float64))
-        elif enc.sensitive is not None and name == enc.sensitive.name:
-            cols.append((d.values(name) == enc.sensitive.protected).astype(np.float64))
-    if not cols:
-        return np.zeros((d.n, 0))
-    return np.column_stack(cols)
+            # a one-modality column has no block, but its unknown labels are still counted
+            X[:, blocks.get(name, slice(0, 0))] = values[:, None] == np.array(spec.modalities[1:], dtype=str)
+        else:
+            X[:, blocks[name].start] = d.values(name) == enc.sensitive.protected
+    return X
 
 
 # -- the model ---------------------------------------------------------------------
@@ -183,10 +197,6 @@ class LogisticModel:
             raise DataError("weight vector length does not match encoding dimension")
         if not np.all(np.isfinite(self.weights)) or not math.isfinite(self.intercept):
             raise DataError("model parameters must be finite")
-
-    @property
-    def uses_sensitive(self) -> bool:
-        return self.encoding.sensitive is not None
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -373,11 +383,6 @@ def model_from_dict(obj: dict) -> LogisticModel:
         sensitive=SensitiveSpec(**enc_obj["sensitive"]) if enc_obj["sensitive"] else None,
         dropped=tuple(enc_obj.get("dropped", ())),
     )
-    specs = [*enc.numeric, *enc.categorical, *([enc.sensitive.name] if enc.sensitive else [])]
-    if twice := sorted({c for c in specs if specs.count(c) > 1}):
-        raise DataError(f"encoding names {twice} under more than one kind")
-    if sorted(enc.source_order) != sorted(specs):
-        raise DataError(f"encoding.source_order {list(enc.source_order)} must name each of {sorted(specs)} once")
     if bad := [k for k, v in enc.numeric.items() if not (math.isfinite(v.mean) and 0.0 < v.sd < math.inf)]:
         raise DataError(f"encoding.numeric {bad} need a finite mean and a finite sd > 0")
     weights = np.asarray(obj["weights"], dtype=np.float64)

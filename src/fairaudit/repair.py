@@ -71,6 +71,10 @@ class RepairPlan:
     sizes: tuple[int, int]  # fit-time group row counts; barycenter weights
     maps: dict[str, tuple[QuantileMap, QuantileMap]]
 
+    def __post_init__(self):
+        if repeated := sorted({name for name in self.features if self.features.count(name) > 1}):
+            raise DataError(f"features {repeated} are listed more than once")
+
     def target_quantile(self, feature: str, u) -> np.ndarray:
         qp, qn = (qmap.quantile(u) for qmap in self.maps[feature])
         n1, n2 = self.sizes
@@ -93,9 +97,6 @@ def fit_repair(d: Dataset, features: list[str]) -> RepairPlan:
     """Fit group quantile maps for the listed numeric features."""
     if not features:
         raise DataError("no features listed for repair")
-    repeated = sorted({name for name in features if features.count(name) > 1})
-    if repeated:
-        raise DataError(f"features {repeated} are listed more than once")
     masks = _group_masks(d, features)
     maps: dict[str, tuple[QuantileMap, QuantileMap]] = {}
     for name in features:

@@ -123,8 +123,9 @@ MUTANTS = [
      "2 * decision + outcome", "decision + 2 * outcome", KILLED),
     ("correction-needs-both-zero-cells", "metrics.py",
      "corrected = (a == 0) | (c == 0)", "corrected = (a == 0) & (c == 0)", KILLED),
-    ("flip-indicator-off-by-one", "audit.py",
-     "order[:order.index(enc.sensitive.name)]", "order[:order.index(enc.sensitive.name) + 1]", KILLED),
+    # the one block map places every design-matrix column, the flip test's indicator among them
+    ("flip-indicator-off-by-one", "model.py",
+     "blocks[col] = slice(stop, stop + width)", "blocks[col] = slice(stop + 1, stop + 1 + width)", KILLED),
     ("flip-not-applied", "audit.py",
      "flipped[:, j] = 1.0 - X[:, j]", "flipped[:, j] = X[:, j]", KILLED),
     ("flip-sensitive-column-unchecked", "audit.py",
@@ -135,7 +136,12 @@ MUTANTS = [
     ("model-file-kind-twice-accepted", "model.py",
      "if twice := sorted({c for c in specs if specs.count(c) > 1}):", "if twice := []:", KILLED),
     ("model-file-source-order-unchecked", "model.py",
-     "if sorted(enc.source_order) != sorted(specs):", "if False:", KILLED),
+     "if sorted(self.source_order) != sorted(specs):", "if False:", KILLED),
+    ("schema-misplaced-key-accepted", "data.py",
+     "if value is not None and self.kind not in kinds:", "if False:", KILLED),
+    ("plan-repeated-feature-accepted", "repair.py",
+     "if repeated := sorted({name for name in self.features if self.features.count(name) > 1}):",
+     "if repeated := []:", KILLED),
     ("synth-one-group-accepted", "synth.py",
      "if protected.all() or not protected.any():", "if False:", KILLED),
     ("csv-nul-unchecked", "data.py",

@@ -421,8 +421,16 @@ MALFORMED = [
      "the 'protected' modality must be a string, got ['F']"),
     ("schema-positive-number", ["validate", "--data", "hand.csv", "--schema", "positive-number.json"], 2,
      "the 'positive' modality must be a string, got 1"),
+    # a key of another role would be ignored, so it is refused
+    ("schema-positive-on-numeric", ["validate", "--data", "hand.csv", "--schema", "age-positive.json"], 2,
+     "the 'positive' modality belongs to the decision or outcome role, not numeric"),
     ("repair-feature-twice", ["repair", *GEN, "--features", "x1,x1", "--repaired-out", "r.csv"], 2,
      "features ['x1'] are listed more than once"),
+    # only the subcommands that draw take a seed
+    ("audit-takes-no-seed", ["audit", *HAND, "--seed", "3"], 1, "unrecognized arguments: --seed 3"),
+    ("validate-takes-no-seed", ["validate", *HAND, "--seed", "3"], 1, "unrecognized arguments: --seed 3"),
+    ("fliptest-takes-no-seed", ["fliptest", *HAND, "--model", "model-hand.json", "--seed", "3"], 1,
+     "unrecognized arguments: --seed 3"),
     ("synth-one-row", ["synth", "--n", "1", "--data", "o.csv"], 2,
      "the n=1 rows drawn with seed 0 hold one sensitive group, not both"),
     ("synth-one-group", ["synth", "--n", "3", "--seed", "1", "--protected-fraction", "0.99", "--data", "o.csv"], 2,
@@ -490,7 +498,8 @@ def malformed_inputs(tmp_path, monkeypatch):
     edits = {"perf-schema.json": {"sex": "categorical", "performed": {"role": "sensitive", "protected": "yes"}},
              "fm-schema.json": {"sex": {"role": "sensitive", "protected": "female"}},
              "protected-list.json": {"sex": {"role": "sensitive", "protected": ["F"]}},
-             "positive-number.json": {"hired": {"role": "decision", "positive": 1}}}
+             "positive-number.json": {"hired": {"role": "decision", "positive": 1}},
+             "age-positive.json": {"age": {"role": "numeric", "positive": "yes"}}}
     for name, edit in edits.items():
         (tmp_path / name).write_text(json.dumps({**schema, **edit}), encoding="utf-8")
     rows = list(csv.reader(io.StringIO((GOLDEN / "inputs" / "hand.csv").read_text(encoding="utf-8"))))

@@ -763,6 +763,8 @@ GUARDS = [
     ("role-unknown-kind", lambda: ColumnRole("bogus"), SchemaError, "unknown column role 'bogus'"),
     ("role-decision-without-positive", lambda: ColumnRole("decision"), SchemaError,
      "decision role requires a 'positive' modality"),
+    ("role-protected-on-categorical", lambda: ColumnRole("categorical", protected="F"), SchemaError,
+     "the 'protected' modality belongs to the sensitive role, not categorical"),
     ("schema-numeric-descriptor", lambda: parse_schema({"x": 3}), SchemaError,
      "column 'x': descriptor must be a string or object"),
     ("dataset-names-mismatched", lambda: Dataset({"s": _S}, {"t": ["P"]}), SchemaError,

@@ -23,10 +23,13 @@ from fairaudit.model import (
     L2,
     MAX_ITER,
     TOL,
+    CategoricalSpec,
     FeatureEncoding,
     LogisticModel,
+    NumericSpec,
     SensitiveSpec,
     _newton,
+    _numeric_feature,
     build_encoding,
     encode,
     load_model,
@@ -182,6 +185,80 @@ def test_infinite_numeric_cell_is_refused_where_fitted_and_where_encoded(cell):
         for fit_or_encode in (build_encoding, lambda t: encode(enc, t)):
             with pytest.raises(DataError, match="numeric column 'x' holds infinite values"):
                 fit_or_encode(bad)
+
+
+def reference_encode(enc: FeatureEncoding, d: Dataset) -> np.ndarray:
+    """The design matrix with its columns appended in source order: the layout that ``blocks`` must give."""
+    cols: list[np.ndarray] = []
+    for name in enc.source_order:
+        if name in enc.numeric:
+            spec = enc.numeric[name]
+            x = np.array(_numeric_feature(d, name))
+            x[np.isnan(x)] = spec.mean
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = (x - spec.mean) / spec.sd
+            if not np.isfinite(z).all():
+                raise DataError(f"numeric column {name!r} overflows when standardized by the model's sd")
+            cols.append(z)
+        elif name in enc.categorical:
+            spec = enc.categorical[name]
+            values = d.values(name)
+            known = np.isin(values, spec.modalities) | (values == "")
+            if not known.all():
+                warnings.warn(
+                    f"column {name!r}: {int(np.count_nonzero(~known))} values outside "
+                    "the training modalities encoded as all-zeros"
+                )
+            for m in spec.modalities[1:]:
+                cols.append((values == m).astype(np.float64))
+        elif enc.sensitive is not None and name == enc.sensitive.name:
+            cols.append((d.values(name) == enc.sensitive.protected).astype(np.float64))
+    if not cols:
+        return np.zeros((d.n, 0))
+    return np.column_stack(cols)
+
+
+@st.composite
+def encoded_tables(draw):
+    """An encoding of numeric, categorical (one-modality ones too) and, or not, sensitive columns, in any
+    source order, and a table for it whose text cells include missing and unseen labels."""
+    n = draw(st.integers(1, 12))
+    numeric = {f"n{i}": NumericSpec(f"n{i}", draw(st.floats(-10, 10)), draw(st.floats(0.1, 10)))
+               for i in range(draw(st.integers(0, 3)))}
+    categorical = {f"c{i}": CategoricalSpec(f"c{i}", tuple(sorted(draw(st.sets(st.sampled_from("abcd"), min_size=1)))))
+                   for i in range(draw(st.integers(0, 3)))}
+    sensitive = draw(st.sampled_from([None, SensitiveSpec("s", "P"), SensitiveSpec("s", "N")]))
+    names = [*numeric, *categorical, *(["s"] if sensitive else [])]
+    enc = FeatureEncoding(tuple(draw(st.permutations(names))), numeric, categorical, sensitive)
+    cell = st.one_of(st.just(np.nan), st.floats(-1e3, 1e3))
+    columns = {name: draw(st.lists(cell, min_size=n, max_size=n)) for name in numeric}
+    columns |= {name: draw(st.lists(st.sampled_from(["", "a", "b", "c", "d", "e"]), min_size=n, max_size=n))
+                for name in categorical}
+    columns["s"] = draw(st.lists(st.sampled_from("PN"), min_size=n, max_size=n))
+    schema = {**dict.fromkeys(numeric, ColumnRole("numeric")), **dict.fromkeys(categorical, ColumnRole("categorical")),
+              "s": ColumnRole("sensitive", protected=columns["s"][0])}
+    return enc, Dataset(schema, columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=encoded_tables())
+def test_encode_fills_the_blocks_as_the_appending_reference_does(case):
+    enc, d = case
+
+    def run(encoder):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            return encoder(enc, d), [str(w.message) for w in seen]
+
+    (X, warned), (expected, expected_warned) = run(encode), run(reference_encode)
+    assert X.shape == expected.shape == (d.n, enc.dimension)
+    assert X.tobytes() == expected.tobytes()
+    assert warned == expected_warned  # unknown labels, of a one-modality column too
+    blocks = enc.blocks
+    for col in enc.source_order:
+        block = blocks.get(col, slice(0, 0))
+        assert block.stop - block.start == len(enc.column_features(col))
+    assert [j for block in blocks.values() for j in range(block.start, block.stop)] == list(range(enc.dimension))
 
 
 # -- training ---------------------------------------------------------------------
@@ -527,6 +604,13 @@ GUARDS = [
      "unknown training target 'bogus'"),
     ("cross-validate-1-replicate", lambda: cross_validate(separable_toy(), 1, 0.3, 0), DataError,
      "cross-validation requires at least 2 replicates, got 1"),
+    # the rules that give each source column one block hold for an encoding however it is built
+    ("encoding-column-under-two-kinds", lambda: FeatureEncoding(
+        ("x",), {"x": NumericSpec("x", 0.0, 1.0)}, {"x": CategoricalSpec("x", ("a", "b"))}, None), DataError,
+     "encoding names ['x'] under more than one kind"),
+    ("encoding-source-order-without-a-spec", lambda: FeatureEncoding(
+        (), {"x": NumericSpec("x", 0.0, 1.0)}, {}, None), DataError,
+     "encoding.source_order [] must name each of ['x'] once"),
 ]
 
 

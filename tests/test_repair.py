@@ -350,6 +350,17 @@ def test_load_plan_rejects_sizes_and_samples_it_cannot_apply(tmp_path, edit):
         load_plan(path)
 
 
+def test_load_plan_refuses_a_feature_listed_twice(tmp_path):
+    """A plan file is held to fit_repair's rule: each feature once."""
+    plan = plan_to_dict(fit_repair(toy_dataset(), ["x"]))
+    plan["features"] = ["x", "x"]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            f"malformed repair plan file {path}: DataError: features ['x'] are listed more than once")):
+        load_plan(path)
+
+
 def test_load_plan_reads_numeric_string_samples_as_numbers(tmp_path):
     """A map keeps the float64 array it checks, read-only; a sample that is no number is refused."""
     d = toy_dataset()
